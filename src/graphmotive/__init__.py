@@ -23,12 +23,8 @@ from .errors import (
 from .ffield import (
     FieldElem,
     FieldSpec,
-    FMatrix,
-    arith,
     enumerate_elements,
-    identity_rows,
     make_field,
-    matrix_rank,
     matrix_rank_minors,
     rank_from_index_rows,
 )

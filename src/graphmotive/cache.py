@@ -54,13 +54,14 @@ class CountCache:
                         rec = json.loads(line)
                         if rec.get("version") != CACHE_VERSION:
                             continue
+                        q, value = rec["q"], rec["value"]
+                        # a float or bool would coerce to a wrong count
+                        if type(q) is not int or type(value) is not int:
+                            continue
                         key = _key(
-                            rec["kind"],
-                            rec["input"],
-                            dict(rec["params"]),
-                            int(rec["q"]),
+                            rec["kind"], rec["input"], dict(rec["params"]), q
                         )
-                        entries[key] = int(rec["value"])
+                        entries[key] = value
                     except (
                         ValueError,
                         KeyError,

@@ -25,6 +25,7 @@ from .errors import (
     NotPrimePower,
     NotSimple,
     ParseError,
+    TooLarge,
 )
 from .ffield import make_field
 from .matroids import PartialRank
@@ -68,13 +69,20 @@ def _parse_q_list(text: str) -> list[int]:
     return out
 
 
+def _read_input(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path!r}: {exc}") from exc
+
+
 def _load_graph(args) -> graphs.Graph:
     given = [x for x in (args.graph, args.g6, args.name) if x]
     if len(given) != 1:
         raise ParseError("give exactly one of --graph/--g6/--name")
     if args.graph:
-        with open(args.graph, "r", encoding="utf-8") as fh:
-            return graphs.parse_edge_list(fh.read())
+        return graphs.parse_edge_list(_read_input(args.graph))
     if args.g6:
         return graphs.parse_graph6(args.g6)
     return graphs.from_name(args.name)
@@ -102,8 +110,7 @@ def _load_matroid(args) -> matroids.Matroid:
             return matroids.uniform(int(r_txt), int(m_txt))
         except ValueError as exc:
             raise ParseError(f"bad uniform-matroid argument {text!r}") from exc
-    with open(s, "r", encoding="utf-8") as fh:
-        return matroids.matroid_from_text(fh.read())
+    return matroids.matroid_from_text(_read_input(s))
 
 
 def _parse_partial(text: str) -> PartialRank:
@@ -204,8 +211,8 @@ def _compute_count(kind: str, args, q: int, budget) -> int:
 
 def _build_table(args, out_errors: list[str]) -> CountTable:
     """Computes the requested table, consulting the on-disk cache per field
-    order; per-q budget overruns are reported and the remaining orders still
-    run."""
+    order; per-q budget overruns and orders too large to enumerate are
+    reported and the remaining orders still run."""
     kind = args.kind
     qs = _parse_q_list(args.q)
     input_text = _count_input_text(kind, args)
@@ -219,7 +226,7 @@ def _build_table(args, out_errors: list[str]) -> CountTable:
             continue
         try:
             val = _compute_count(kind, args, q, args.budget)
-        except BudgetExceeded as exc:
+        except (BudgetExceeded, TooLarge) as exc:
             out_errors.append(f"q={q}: {exc}")
             continue
         counts[q] = val
@@ -488,8 +495,10 @@ def main(argv=None) -> int:
     counting.clear_graph_count_cache()
     incidence.clear_incidence_cache()
     try:
+        if args.budget is not None and args.budget < 0:
+            raise ParseError(f"--budget must be nonnegative, got {args.budget}")
         code = args.func(args)
-    except (ParseError, BadParams, NotPrimePower, NotSimple, FileNotFoundError) as exc:
+    except (ParseError, BadParams, NotPrimePower, NotSimple) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BudgetExceeded, InsufficientPoints, GraphMotiveError) as exc:

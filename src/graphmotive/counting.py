@@ -9,8 +9,6 @@ counter so callers can prove that cached paths do no counting at all.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -21,7 +19,6 @@ from .polys import MultilinearPoly, spanning_tree_poly, tree_complement_poly
 
 DEFAULT_BUDGET = 10**8
 
-_VECTOR_THRESHOLD = 4096
 _VECTOR_CHUNK = 1 << 18
 
 
@@ -29,16 +26,13 @@ class EnumerationStats:
     """Running total of field-assignment evaluations performed."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self.evaluations = 0
 
     def add(self, n: int) -> None:
-        with self._lock:
-            self.evaluations += n
+        self.evaluations += n
 
     def reset(self) -> None:
-        with self._lock:
-            self.evaluations = 0
+        self.evaluations = 0
 
 
 stats = EnumerationStats()
@@ -73,21 +67,8 @@ def _const_index(field: FieldSpec, c: int) -> int:
 # zero counting for multilinear polynomials
 
 
-def count_zeros(
-    poly: MultilinearPoly,
-    q: int,
-    budget: int | None = None,
-    chunks: int = 1,
-    parallel: bool = False,
-) -> int:
-    """Number of points of F_q^nvars where the polynomial vanishes.
-
-    The point space may be partitioned into `chunks` independent slices
-    (optionally scanned by a thread pool); the returned total is identical
-    for every partition.
-    """
-    if chunks < 1:
-        raise BadArgs(f"chunks must be positive, got {chunks}")
+def count_zeros(poly: MultilinearPoly, q: int, budget: int | None = None) -> int:
+    """Number of points of F_q^nvars where the polynomial vanishes."""
     field = make_field(q)
     nvars = poly.nvars
     total_points = q**nvars
@@ -99,38 +80,17 @@ def count_zeros(
         for mask, coeff in poly.terms.items()
     ]
     add, mul = _tables(field)
-    if nvars == 0:
+    zeros = 0
+    for point in product(range(q), repeat=nvars):
         acc = 0
-        for cidx, _ in terms:
-            acc = add[acc][cidx]
-        return 1 if acc == 0 else 0
-
-    def scan(lead_values: list[int]) -> int:
-        zeros = 0
-        for lead in lead_values:
-            for rest in product(range(q), repeat=nvars - 1):
-                point = (lead,) + rest
-                acc = 0
-                for cidx, tvars in terms:
-                    t = cidx
-                    for v in tvars:
-                        t = mul[t][point[v]]
-                    acc = add[acc][t]
-                if acc == 0:
-                    zeros += 1
-        return zeros
-
-    slices = [
-        [v for v in range(q) if v % chunks == k]
-        for k in range(chunks)
-    ]
-    slices = [s for s in slices if s]
-    if parallel and len(slices) > 1:
-        with ThreadPoolExecutor(max_workers=len(slices)) as pool:
-            parts = list(pool.map(scan, slices))
-    else:
-        parts = [scan(s) for s in slices]
-    return sum(parts)
+        for cidx, tvars in terms:
+            t = cidx
+            for v in tvars:
+                t = mul[t][point[v]]
+            acc = add[acc][t]
+        if acc == 0:
+            zeros += 1
+    return zeros
 
 
 def _bits(mask: int):
@@ -333,44 +293,27 @@ def _census_pattern(
     _require_budget(total, budget, "symmetric pattern scan")
     stats.add(total)
 
+    import numpy as np
+
+    from .vecops import VecField, decode_assignments
+
+    vf = VecField(field)
+    cap = None if rank_cap is None else rank_cap + 1
     counts: dict[int, int] = {}
-    use_vector = d <= 4 and total >= _VECTOR_THRESHOLD
-    if use_vector:
-        import numpy as np
-
-        from .vecops import VecField, decode_assignments
-
-        vf = VecField(field)
-        start = 0
-        while start < total:
-            stop = min(start + _VECTOR_CHUNK, total)
-            cols = decode_assignments(start, stop, max(nfree, 1), q)
-            mats = np.zeros((stop - start, d, d), dtype=np.uint8)
-            for pos, (i, j) in enumerate(cells):
-                v = cols[:, pos]
-                mats[:, i, j] = v
-                if i != j:
-                    mats[:, j, i] = v
-            if rank_cap is not None and rank_cap == d:
-                # only "rank == d or not" is needed: one determinant each
-                nz = vf.det(mats) != 0
-                counts[d] = counts.get(d, 0) + int(nz.sum())
-            else:
-                cap = d if rank_cap is None else min(d, rank_cap + 1)
-                ranks = vf.rank(mats, cap=cap)
-                vals, freq = np.unique(ranks, return_counts=True)
-                for r, c in zip(vals.tolist(), freq.tolist()):
-                    counts[r] = counts.get(r, 0) + int(c)
-            start = stop
-        return counts
-
-    for assignment in product(range(q), repeat=nfree):
-        rows = [[0] * d for _ in range(d)]
+    start = 0
+    while start < total:
+        stop = min(start + _VECTOR_CHUNK, total)
+        cols = decode_assignments(start, stop, nfree, q)
+        mats = np.zeros((stop - start, d, d), dtype=np.uint8)
         for pos, (i, j) in enumerate(cells):
-            rows[i][j] = assignment[pos]
-            rows[j][i] = assignment[pos]
-        r = rank_from_index_rows(field, rows)
-        counts[r] = counts.get(r, 0) + 1
+            v = cols[:, pos]
+            mats[:, i, j] = v
+            if i != j:
+                mats[:, j, i] = v
+        vals, freq = np.unique(vf.rank(mats, cap=cap), return_counts=True)
+        for r, c in zip(vals.tolist(), freq.tolist()):
+            counts[r] = counts.get(r, 0) + int(c)
+        start = stop
     return counts
 
 
@@ -410,7 +353,7 @@ def _count_full_rank_corner(
     start = 0
     while start < total:
         stop = min(start + _VECTOR_CHUNK, total)
-        cols = decode_assignments(start, stop, max(nfree, 1), q)
+        cols = decode_assignments(start, stop, nfree, q)
         mats = np.zeros((stop - start, d, d), dtype=np.uint8)
         for pos, (i, j) in enumerate(cells):
             v = cols[:, pos]

@@ -20,7 +20,7 @@ class DivisionByZero(GraphMotiveError, ZeroDivisionError):
 
 
 class NotSimple(GraphMotiveError):
-    """Operation requires a simple graph (no loops, no parallel edges)."""
+    """Operation requires a simple graph (no loops, no multiple edges)."""
 
 
 class BadVertex(GraphMotiveError):

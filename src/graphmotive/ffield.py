@@ -267,7 +267,8 @@ class FieldSpec:
 
     @property
     def np_tables(self):
-        """(add, mul, neg, flat_add, flat_mul) as uint8/uint16 arrays."""
+        """(add, mul, neg, inv, flat_add, flat_mul) as uint8/uint16 arrays;
+        inv maps zero to zero."""
         if self._np is None:
             if self.add_table is None:
                 raise TooLarge("numpy tables only built for q <= 256")
@@ -277,10 +278,12 @@ class FieldSpec:
             add = np.array(self.add_table, dtype=dt)
             mul = np.array(self.mul_table, dtype=dt)
             neg = np.array(self.neg_table, dtype=dt)
+            inv = np.array([0] + self.inv_table[1:], dtype=dt)
             self._np = SimpleNamespace(
                 add=add,
                 mul=mul,
                 neg=neg,
+                inv=inv,
                 flat_add=np.ascontiguousarray(add.reshape(-1)),
                 flat_mul=np.ascontiguousarray(mul.reshape(-1)),
             )
@@ -301,39 +304,7 @@ def enumerate_elements(field: FieldSpec) -> tuple[FieldElem, ...]:
     return field.elements
 
 
-def arith(field: FieldSpec) -> SimpleNamespace:
-    """The operation bundle for callers that want plain callables."""
-    return SimpleNamespace(
-        add=field.add,
-        neg=field.neg,
-        mul=field.mul,
-        inv=field.inv,
-        eq=lambda a, b: a == b,
-        zero=field.zero,
-        one=field.one,
-    )
-
-
 # -- matrices ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FMatrix:
-    """Dense matrix over one field, entries row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[FieldElem, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise LengthMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
-            )
-
-    def at(self, i: int, j: int) -> FieldElem:
-        return self.entries[i * self.cols + j]
 
 
 def rank_from_index_rows(field: FieldSpec, rows: list[list[int]]) -> int:
@@ -374,34 +345,33 @@ def rank_from_index_rows(field: FieldSpec, rows: list[list[int]]) -> int:
     return rank
 
 
-def matrix_rank(field: FieldSpec, m: FMatrix) -> int:
-    idx_rows = [
-        [field.index(m.at(i, j)) for j in range(m.cols)] for i in range(m.rows)
-    ]
-    return rank_from_index_rows(field, idx_rows)
+def matrix_rank_minors(field: FieldSpec, rows: list[list[int]]) -> int:
+    """Independent rank oracle: largest k with a nonzero k x k minor of the
+    matrix whose rows are lists of element indices."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
 
+    def at(i: int, j: int) -> FieldElem:
+        return field.element(rows[i][j])
 
-def matrix_rank_minors(field: FieldSpec, m: FMatrix) -> int:
-    """Independent rank oracle: largest k with a nonzero k x k minor."""
-
-    def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> FieldElem:
-        if len(rows) == 1:
-            return m.at(rows[0], cols[0])
+    def det(rsel: tuple[int, ...], csel: tuple[int, ...]) -> FieldElem:
+        if len(rsel) == 1:
+            return at(rsel[0], csel[0])
         total = field.zero
-        for pos, r in enumerate(rows):
-            sub = det(rows[:pos] + rows[pos + 1 :], cols[1:])
-            term = field.mul(m.at(r, cols[0]), sub)
+        for pos, r in enumerate(rsel):
+            sub = det(rsel[:pos] + rsel[pos + 1 :], csel[1:])
+            term = field.mul(at(r, csel[0]), sub)
             if pos % 2:
                 term = field.neg(term)
             total = field.add(total, term)
         return total
 
     best = 0
-    for k in range(1, min(m.rows, m.cols) + 1):
+    for k in range(1, min(nrows, ncols) + 1):
         found = False
-        for rows in itertools.combinations(range(m.rows), k):
-            for cols in itertools.combinations(range(m.cols), k):
-                if det(rows, cols) != field.zero:
+        for rsel in itertools.combinations(range(nrows), k):
+            for csel in itertools.combinations(range(ncols), k):
+                if det(rsel, csel) != field.zero:
                     found = True
                     break
             if found:
@@ -411,9 +381,3 @@ def matrix_rank_minors(field: FieldSpec, m: FMatrix) -> int:
         else:
             break
     return best
-
-
-def identity_rows(field: FieldSpec, n: int) -> list[list[int]]:
-    """Index rows of the n x n identity (handy for span bookkeeping)."""
-    one = field.index(field.one)
-    return [[one if i == j else 0 for j in range(n)] for i in range(n)]

@@ -3,7 +3,7 @@
 Edges are stored as an ordered tuple of (u, v) pairs; the position of an edge
 in that tuple is its index, which is also the variable index used by the
 polynomial layer and the bit position used by edge subsets (bitmasks).
-Loops and parallel edges are allowed except where a method says otherwise.
+Loops and multiple edges are allowed except where a method says otherwise.
 
 Labeling conventions for the structural operators are fixed here once:
 apex_extension prepends the new vertex as index 0 (old vertices shift up by
@@ -199,7 +199,7 @@ class Graph:
         return Graph(self.n, kept)
 
     def contract(self, subset) -> "Graph":
-        """Contract the edges in S (any S; loops/parallels may appear)."""
+        """Contract the edges in S (any S; loops and multiple edges may appear)."""
         mask = _as_mask(subset)
         uf = _UnionFind(self.n)
         for i, (u, v) in enumerate(self.edges):

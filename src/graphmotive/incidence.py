@@ -28,7 +28,6 @@ from .graphs import Graph
 from .matroids import Matroid, PartialRank, count_X
 
 _F_CHUNK = 1 << 15
-_VEC_DIM_CAP = 4  # vectorized rank works through 4x4 minors
 
 # ---------------------------------------------------------------------------
 # symmetric forms grouped by rank
@@ -76,14 +75,22 @@ def _edge_set(g: Graph) -> list[tuple[int, int]]:
 
 
 def _decode_f(start: int, stop: int, n: int, s: int, q: int):
-    import numpy as np
-
     from .vecops import decode_assignments
 
-    cols = decode_assignments(start, stop, max(n * s, 1), q)
-    return cols.reshape(stop - start, n, s) if n * s else np.zeros(
-        (stop - start, 0, 0), dtype=np.uint8
-    )
+    return decode_assignments(start, stop, n * s, q).reshape(stop - start, n, s)
+
+
+def _span_ok(vf, fmats, constraints):
+    """Boolean vector: every (vertex mask, span dimension) requirement holds
+    for the rows of f the mask selects."""
+    import numpy as np
+
+    n = fmats.shape[1]
+    ok = np.ones(fmats.shape[0], dtype=bool)
+    for mask, need in constraints:
+        sel = [v for v in range(n) if mask >> v & 1]
+        ok &= vf.rank(fmats[:, sel, :]) == need
+    return ok
 
 
 def _edge_ok(vf, fmats, Q, edges, q: int):
@@ -158,10 +165,6 @@ def _incidence_table(
             table[(r, 0)] = int(mats.shape[0])
         _table_memo[key] = table
         return table
-    if n > _VEC_DIM_CAP or s > _VEC_DIM_CAP:
-        table = _incidence_table_slow(g, s, q, budget)
-        _table_memo[key] = table
-        return table
 
     import numpy as np
 
@@ -192,10 +195,33 @@ def _incidence_table(
     return table
 
 
-def _incidence_table_slow(
-    g: Graph, s: int, q: int, budget: int | None = None
-) -> dict[tuple[int, int], int]:
-    """Pure-Python fallback for dimensions beyond the vectorized caps."""
+# ---------------------------------------------------------------------------
+# public counts
+
+
+def count_A(
+    g: Graph,
+    s: int,
+    r: int,
+    k: int,
+    q: int,
+    budget: int | None = None,
+) -> int:
+    """Pairs (Q, f): Q symmetric s x s of rank exactly r, f into F_q^s with
+    span dimension exactly k, every edge condition satisfied."""
+    if s < 0 or r < 0 or k < 0:
+        raise BadParams(f"parameters must be nonnegative, got s={s} r={r} k={k}")
+    if r > s or k > min(s, g.n):
+        return 0
+    return _incidence_table(g, s, q, budget)[(r, k)]
+
+
+def count_A_slow(g: Graph, s: int, r: int, k: int, q: int, budget: int | None = None) -> int:
+    """Reference implementation by direct nested enumeration."""
+    if s < 0 or r < 0 or k < 0:
+        raise BadParams(f"parameters must be nonnegative, got s={s} r={r} k={k}")
+    if r > s or k > min(s, g.n):
+        return 0
     edges = _edge_set(g)
     n = g.n
     raw = q ** (s * (s + 1) // 2 + s * n)
@@ -205,13 +231,14 @@ def _incidence_table_slow(
     add = field.add_table
     mul = field.mul_table
     cells = [(i, j) for i in range(s) for j in range(i, s)]
-    table = {(r, k): 0 for r in range(s + 1) for k in range(min(s, n) + 1)}
+    total = 0
     for qvals in product(range(q), repeat=len(cells)):
         Q = [[0] * s for _ in range(s)]
         for pos, (i, j) in enumerate(cells):
             Q[i][j] = qvals[pos]
             Q[j][i] = qvals[pos]
-        r = rank_from_index_rows(field, [row[:] for row in Q])
+        if rank_from_index_rows(field, [row[:] for row in Q]) != r:
+            continue
         for fvals in product(range(q), repeat=n * s):
             f = [list(fvals[v * s : (v + 1) * s]) for v in range(n)]
             good = True
@@ -225,97 +252,9 @@ def _incidence_table_slow(
                 if val != 0:
                     good = False
                     break
-            if not good:
-                continue
-            k = rank_from_index_rows(field, [row[:] for row in f])
-            table[(r, k)] += 1
-    return table
-
-
-# ---------------------------------------------------------------------------
-# public counts
-
-
-def count_A(
-    g: Graph,
-    s: int,
-    r: int,
-    k: int,
-    q: int,
-    budget: int | None = None,
-    chunks: int = 1,
-    parallel: bool = False,
-) -> int:
-    """Pairs (Q, f): Q symmetric s x s of rank exactly r, f into F_q^s with
-    span dimension exactly k, every edge condition satisfied.
-
-    chunks > 1 partitions the rank-r forms into strided slices (optionally
-    scanned by threads) and bypasses the memo; totals are identical for
-    every partition.
-    """
-    if s < 0 or r < 0 or k < 0:
-        raise BadParams(f"parameters must be nonnegative, got s={s} r={r} k={k}")
-    if r > s or k > min(s, g.n):
-        return 0
-    if chunks == 1:
-        return _incidence_table(g, s, q, budget)[(r, k)]
-    return _count_A_chunked(g, s, r, k, q, budget, chunks, parallel)
-
-
-def _count_A_chunked(g, s, r, k, q, budget, chunks, parallel) -> int:
-    if chunks < 1:
-        raise BadParams(f"chunks must be positive, got {chunks}")
-    edges = _edge_set(g)
-    n = g.n
-    raw = q ** (s * (s + 1) // 2 + s * n)
-    _require_budget(raw, budget, "incidence scan")
-    if s == 0 or n == 0 or n > _VEC_DIM_CAP or s > _VEC_DIM_CAP:
-        # tiny or oversized cases: chunking has nothing to win
-        return _incidence_table(g, s, q, budget)[(r, k)]
-
-    import numpy as np
-
-    from .vecops import VecField
-
-    field = make_field(q)
-    vf = VecField(field)
-    mats = _sym_by_rank(s, q)[r]
-    nf = q ** (n * s)
-    stats.add(nf * int(mats.shape[0]))
-
-    def scan(qidx: list[int]) -> int:
-        total = 0
-        start = 0
-        while start < nf:
-            stop = min(start + _F_CHUNK, nf)
-            fmats = _decode_f(start, stop, n, s, q)
-            dims = vf.rank(fmats)
-            want = dims == k
-            for qi in qidx:
-                ok = _edge_ok(vf, fmats, mats[qi], edges, q)
-                total += int((ok & want).sum())
-            start = stop
-        return total
-
-    slices = [list(range(c, mats.shape[0], chunks)) for c in range(chunks)]
-    slices = [sl for sl in slices if sl]
-    if parallel and len(slices) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=len(slices)) as pool:
-            parts = list(pool.map(scan, slices))
-    else:
-        parts = [scan(sl) for sl in slices]
-    return sum(parts)
-
-
-def count_A_slow(g: Graph, s: int, r: int, k: int, q: int, budget: int | None = None) -> int:
-    """Reference implementation by direct nested enumeration."""
-    if s < 0 or r < 0 or k < 0:
-        raise BadParams(f"parameters must be nonnegative, got s={s} r={r} k={k}")
-    if r > s or k > min(s, g.n):
-        return 0
-    return _incidence_table_slow(g, s, q, budget)[(r, k)]
+            if good and rank_from_index_rows(field, f) == k:
+                total += 1
+    return total
 
 
 _j_memo: dict[tuple, int] = {}
@@ -357,16 +296,6 @@ def _count_J_constrained(
     if s == 0:
         # the empty form is invertible; the empty-span conditions want 0
         return 1 if all(need == 0 for _, need in constraints) else 0
-    # the vertex count itself never caps the scan: only shapes that get
-    # ranked (the form, and each constrained row subset) must stay small
-    big_subset = any(
-        bin(mask).count("1") > _VEC_DIM_CAP for mask, _ in constraints
-    )
-    if s > _VEC_DIM_CAP or big_subset:
-        return _count_J_slow(g, s, q, constraints, budget)
-
-    import numpy as np
-
     from .vecops import VecField
 
     field = make_field(q)
@@ -374,71 +303,16 @@ def _count_J_constrained(
     mats = _sym_by_rank(s, q)[s]
     nf = q ** (n * s)
     stats.add(nf * int(mats.shape[0]))
-    members = {
-        mask: [v for v in range(n) if mask & (1 << v)] for mask, _ in constraints
-    }
     total = 0
     start = 0
     while start < nf:
         stop = min(start + _F_CHUNK, nf)
         fmats = _decode_f(start, stop, n, s, q)
-        want = np.ones(stop - start, dtype=bool)
-        for mask, need in constraints:
-            sel = members[mask]
-            if sel:
-                sub = fmats[:, sel, :]
-                want &= vf.rank(sub) == need
-            else:
-                want &= need == 0
+        want = _span_ok(vf, fmats, constraints)
         for qi in range(mats.shape[0]):
             ok = _edge_ok(vf, fmats, mats[qi], edges, q)
             total += int((ok & want).sum())
         start = stop
-    return total
-
-
-def _count_J_slow(g, s, q, constraints, budget) -> int:
-    edges = _edge_set(g)
-    n = g.n
-    raw = q ** (s * (s + 1) // 2 + s * n)
-    _require_budget(raw, budget, "invertible-pair scan")
-    stats.add(raw)
-    field = make_field(q)
-    add = field.add_table
-    mul = field.mul_table
-    cells = [(i, j) for i in range(s) for j in range(i, s)]
-    members = {
-        mask: [v for v in range(n) if mask & (1 << v)] for mask, _ in constraints
-    }
-    total = 0
-    for qvals in product(range(q), repeat=len(cells)):
-        Q = [[0] * s for _ in range(s)]
-        for pos, (i, j) in enumerate(cells):
-            Q[i][j] = qvals[pos]
-            Q[j][i] = qvals[pos]
-        if rank_from_index_rows(field, [row[:] for row in Q]) != s:
-            continue
-        for fvals in product(range(q), repeat=n * s):
-            f = [list(fvals[v * s : (v + 1) * s]) for v in range(n)]
-            good = True
-            for u, v in edges:
-                val = 0
-                for a in range(s):
-                    inner = 0
-                    for b in range(s):
-                        inner = add[inner][mul[Q[a][b]][f[v][b]]]
-                    val = add[val][mul[f[u][a]][inner]]
-                if val != 0:
-                    good = False
-                    break
-            if good:
-                for mask, need in constraints:
-                    rows = [f[v][:] for v in members[mask]]
-                    if rank_from_index_rows(field, rows) != need:
-                        good = False
-                        break
-            if good:
-                total += 1
     return total
 
 
@@ -462,44 +336,16 @@ def count_L(s: int, pi: PartialRank, q: int, budget: int | None = None) -> int:
     for mask, need in pi.pairs:
         if need > min(s, bin(mask).count("1")):
             return 0
-    field = make_field(q)
+    from .vecops import VecField
+
+    vf = VecField(make_field(q))
     stats.add(raw)
-    if (
-        0 < m <= _VEC_DIM_CAP
-        and 0 < s <= _VEC_DIM_CAP
-        and raw >= 512
-    ):
-        import numpy as np
-
-        from .vecops import VecField
-
-        vf = VecField(field)
-        total = 0
-        start = 0
-        while start < raw:
-            stop = min(start + _F_CHUNK, raw)
-            fmats = _decode_f(start, stop, m, s, q)
-            want = np.ones(stop - start, dtype=bool)
-            for mask, need in pi.pairs:
-                sel = [v for v in range(m) if mask & (1 << v)]
-                if sel:
-                    want &= vf.rank(fmats[:, sel, :]) == need
-                else:
-                    want &= need == 0
-            total += int(want.sum())
-            start = stop
-        return total
     total = 0
-    for fvals in product(range(q), repeat=m * s):
-        f = [list(fvals[v * s : (v + 1) * s]) for v in range(m)]
-        good = True
-        for mask, need in pi.pairs:
-            rows = [f[v][:] for v in range(m) if mask & (1 << v)]
-            if rank_from_index_rows(field, rows) != need:
-                good = False
-                break
-        if good:
-            total += 1
+    start = 0
+    while start < raw:
+        stop = min(start + _F_CHUNK, raw)
+        total += int(_span_ok(vf, _decode_f(start, stop, m, s, q), pi.pairs).sum())
+        start = stop
     return total
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .counting import CountTable, DEFAULT_BUDGET, count_invertible, stats
+from .counting import CountTable, DEFAULT_BUDGET, _tables, count_invertible, stats
 from .errors import BadParams, BudgetExceeded, ParseError, TooLarge
 from .ffield import FieldSpec, make_field, rank_from_index_rows
 
@@ -308,6 +308,7 @@ def count_X(
     if matroid.m == 0:
         return 1
     field = make_field(q)
+    _tables(field)  # the search runs on the index tables: q <= 256
     limit = DEFAULT_BUDGET if budget is None else budget
 
     pinned = s == matroid.rank

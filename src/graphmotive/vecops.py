@@ -23,6 +23,7 @@ class VecField:
         self.flat_add = t.flat_add
         self.flat_mul = t.flat_mul
         self.neg_table = t.neg
+        self.inv_table = t.inv
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.flat_add[a.astype(np.int32) * self.q + b]
@@ -95,15 +96,20 @@ class VecField:
         raise BadParams(f"vectorized determinant capped at 4x4, got {n}")
 
     def rank(self, mats: np.ndarray, cap: int | None = None) -> np.ndarray:
-        """Rank of (N, r, c) index matrices via minors; r, c <= 4.
+        """Rank of (N, r, c) index matrices, clamped to cap when given.
 
-        A nonzero k-minor implies a nonzero (k-1)-minor, so summing the
-        "some k x k minor is nonzero" indicators gives the rank.
+        While min(r, c) is within det's closed forms the rank comes from
+        minors: a nonzero k-minor implies a nonzero (k-1)-minor, so summing
+        the "some k x k minor is nonzero" indicators gives the rank.  Larger
+        shapes are row-reduced.
         """
         nrows, ncols = mats.shape[-2], mats.shape[-1]
         top = min(nrows, ncols)
         if cap is not None:
             top = min(top, cap)
+        if min(nrows, ncols) > 4:
+            ranks = self._eliminate(mats)
+            return np.minimum(ranks, top, out=ranks)
         ranks = np.zeros(mats.shape[0], dtype=np.uint8)
         for k in range(1, top + 1):
             seen = None
@@ -113,11 +119,43 @@ class VecField:
                     d = self.det(sub[:, :, colsel])
                     nz = d != 0
                     seen = nz if seen is None else (seen | nz)
-            if seen is None:
-                break
             ranks += seen.astype(np.uint8)
             if not seen.any():
                 break
+        return ranks
+
+    def _eliminate(self, mats: np.ndarray) -> np.ndarray:
+        """Rank by Gaussian elimination without row swaps.
+
+        Each matrix marks the rows already used as pivots instead of moving
+        them, so one column step is a gather of each matrix's pivot row and
+        one update per row; temporaries stay (N, c) while the working copy
+        keeps uint8 entries.
+        """
+        if mats.shape[-1] > mats.shape[-2]:
+            mats = mats.transpose(0, 2, 1)  # fewer columns, fewer steps
+        work = np.array(mats, dtype=np.uint8)
+        count, nrows, ncols = work.shape
+        batch = np.arange(count)
+        free = np.ones((count, nrows), dtype=bool)
+        ranks = np.zeros(count, dtype=np.uint8)
+        for j in range(ncols):
+            # free rows are already zero in every earlier pivot column
+            cand = (work[:, :, j] != 0) & free
+            found = cand.any(axis=1)
+            piv = cand.argmax(axis=1)
+            free[batch, piv] &= ~found
+            ranks += found
+            if j + 1 == ncols:
+                break
+            scale = self.inv_table[work[batch, piv, j]]  # inv[0] = 0
+            prow = work[batch, piv, j + 1 :]
+            for i in range(nrows):
+                # -(w_ij / pivot), zero on pivot rows and pivotless matrices
+                factor = self.neg(self.mul(work[:, i, j], scale)) * free[:, i]
+                work[:, i, j + 1 :] = self.add(
+                    work[:, i, j + 1 :], self.mul(factor[:, None], prow)
+                )
         return ranks
 
 

@@ -68,6 +68,12 @@ def test_damaged_lines_are_skipped(tmp_path):
         "this is not json",
         '{"version": 1, "kind": "XG"}',  # missing fields
         '{"version": 1, "kind": "XG", "input": "2:0-1", "params": [], "q": "x", "value": 5}',
+        # non-integer counts and orders would be coerced to wrong answers
+        '{"version": 1, "kind": "XG", "input": "2:0-1", "params": {}, "q": 3, "value": 53.9}',
+        '{"version": 1, "kind": "XG", "input": "2:0-1", "params": {}, "q": 4, "value": true}',
+        '{"version": 1, "kind": "XG", "input": "2:0-1", "params": {}, "q": 5, "value": "54"}',
+        '{"version": 1, "kind": "XG", "input": "2:0-1", "params": {}, "q": 7.0, "value": 6}',
+        '{"version": 1, "kind": "XG", "input": "2:0-1", "params": {}, "q": true, "value": 6}',
         "",
         json.dumps(good),
     ]
@@ -76,6 +82,24 @@ def test_damaged_lines_are_skipped(tmp_path):
     cache = CountCache.open(str(tmp_path))
     assert cache.entries == {("XG", "2:0-1", (), 2): 1}
     assert cache.get("XG", "2:0-1", {}, 2) == 1
+
+
+def test_non_integer_count_is_recomputed(tmp_path, monkeypatch, capsys):
+    from graphmotive import graphs
+    from graphmotive.cli import main
+
+    monkeypatch.setenv("GRAPHMOTIVE_CACHE", str(tmp_path))
+    rec = {
+        "version": CACHE_VERSION,
+        "kind": "YG",
+        "input": graphs.format_edge_list(graphs.cycle(4)),
+        "params": {},
+        "q": 3,
+        "value": 53.9,
+    }
+    (tmp_path / "counts.jsonl").write_text(json.dumps(rec) + "\n")
+    assert main(["count", "--kind", "YG", "--name", "C4", "--q", "3"]) == 0
+    assert "q=3 count=54" in capsys.readouterr().out
 
 
 def test_duplicate_put_appends_nothing(tmp_path):

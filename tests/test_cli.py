@@ -146,6 +146,16 @@ def test_count_partial_budget_failure_still_reports_the_rest(capsys):
     assert "q=3" in captured.err and "count=" not in captured.err
 
 
+def test_count_too_large_order_still_reports_the_rest(capsys):
+    # q=257 has no tabled arithmetic; like a budget overrun it costs only
+    # its own row
+    code = main(["count", "--kind", "YG", "--name", "C3", "--q", "2,257"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "q=2 count=4" in captured.out and "q=257" not in captured.out
+    assert "q=257" in captured.err
+
+
 def test_graph_input_forms_agree(tmp_path, capsys):
     graph_file = tmp_path / "tri.txt"
     graph_file.write_text(graphs.format_edge_list(graphs.cycle(3)))
@@ -291,7 +301,14 @@ def test_fit_with_too_few_points_fails_cleanly(capsys):
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
+    not_utf8 = tmp_path / "latin1.txt"
+    not_utf8.write_bytes(b"\xff\xfe 2 1\n0 1\n")
     bad_invocations = [
+        ["count", "--kind", "YG", "--graph", str(tmp_path), "--q", "2"],
+        ["count", "--kind", "YG", "--graph", str(not_utf8), "--q", "2"],
+        ["count", "--kind", "XM", "--matroid", str(tmp_path), "--q", "2"],
+        ["count", "--kind", "XM", "--matroid", str(not_utf8), "--q", "2"],
+        ["count", "--kind", "YG", "--name", "C3", "--q", "2", "--budget", "-1"],
         ["poly", "--name", "Q7"],  # unknown graph name
         ["count", "--kind", "YG", "--name", "C3", "--q", "6"],  # not a prime power
         ["count", "--kind", "YG", "--name", "C3", "--q", "abc"],
@@ -311,6 +328,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 2, argv
         assert captured.err.startswith("error:"), argv
+        assert captured.err.count("\n") == 1, argv
 
     # Unknown choices are rejected by the argument parser itself.
     with pytest.raises(SystemExit) as info:

@@ -86,17 +86,6 @@ def test_count_zeros_against_evaluation_oracle():
             assert count_zeros(poly, q) == zeros_oracle(poly, q)
 
 
-def test_count_zeros_chunked_and_parallel_are_bit_for_bit():
-    poly = spanning_tree_poly(complete(4))
-    for q in (2, 3, 4):
-        base = count_zeros(poly, q)
-        for chunks in (1, 2, 3, 7, 16):
-            assert count_zeros(poly, q, chunks=chunks) == base
-            assert count_zeros(poly, q, chunks=chunks, parallel=True) == base
-    with pytest.raises(BadArgs):
-        count_zeros(poly, 2, chunks=0)
-
-
 def test_count_zeros_budget_and_stats():
     poly = spanning_tree_poly(cycle(3))
     stats.reset()
@@ -247,6 +236,18 @@ def test_blocked_and_supported_counts():
             assert count_supported_nondegenerate(g, q) == pattern_census_oracle(
                 g.n, q, set(_edge_pairs(comp))
             ).get(g.n, 0)
+
+
+def test_five_vertex_patterns_against_census():
+    g = cycle(5)  # its complement is again a five-cycle
+    comp = g.complement()
+    for q in (2, 3):
+        census = symmetric_rank_census(5, q, zero_pairs=g.edges)
+        assert count_blocked_nondegenerate(g, q) == census[5]
+        for r in range(6):
+            assert count_blocked_rank(g, r, q) == census.get(r, 0)
+        supported = symmetric_rank_census(5, q, zero_pairs=comp.edges)
+        assert count_supported_nondegenerate(g, q) == supported[5]
 
 
 def test_free_vertex_and_apex_checks():
