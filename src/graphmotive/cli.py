@@ -301,46 +301,56 @@ def cmd_verify(args) -> int:
             f"unknown identity {name!r}; choose from {', '.join(ALL_IDENTITIES)}"
         )
     qs = _parse_q_list(args.q)
+    params: dict = {}
+    if name in BOOL_IDENTITIES:
+        g = _load_graph(args)
+        check = {
+            "stanley-iso": counting.verify_apex_support_iso,
+            "free-vertex": counting.verify_free_vertex_extension,
+            "signed-sums": counting.verify_contract_delete_sums,
+        }[name]
+    elif name == "grassmann-factor":
+        params["matroid"] = _load_matroid(args)
+        _require(args, "s")
+        params["s"] = args.s
+    else:
+        params["graph"] = _load_graph(args)
+        for key in ("s", "r", "k"):
+            val = getattr(args, key)
+            if val is not None:
+                params[key] = val
+        if name == "pi-strat":
+            params["t"] = args.t if args.t is not None else 1
+            if args.subset is None:
+                raise ParseError("pi-strat needs --subset (vertex bitmask)")
+            params["subset"] = args.subset
+            if args.pi is not None:
+                params["base"] = _parse_partial(args.pi)
+    # an order over the budget or too large to tabulate is reported on
+    # stderr and the remaining orders still run, as in count and fit
     all_ok = True
     rows = []
     for q in qs:
-        if name in BOOL_IDENTITIES:
-            g = _load_graph(args)
-            if name == "stanley-iso":
-                ok = counting.verify_apex_support_iso(g, q, budget=args.budget)
-            elif name == "free-vertex":
-                ok = counting.verify_free_vertex_extension(g, q, budget=args.budget)
+        try:
+            if name in BOOL_IDENTITIES:
+                ok = check(g, q, budget=args.budget)
+                row = {"q": q, "ok": ok}
+                line = f"identity={name} q={q} {'PASS' if ok else 'FAIL'}"
             else:
-                ok = counting.verify_contract_delete_sums(g, q, budget=args.budget)
-            rows.append({"q": q, "ok": ok})
-            print(f"identity={name} q={q} {'PASS' if ok else 'FAIL'}")
-            all_ok = all_ok and ok
+                report = incidence.verify_identity(name, params, q, budget=args.budget)
+                ok = report.equal
+                row = {"q": q, "lhs": report.lhs, "rhs": report.rhs, "ok": ok}
+                line = (
+                    f"identity={name} q={q} lhs={report.lhs} rhs={report.rhs} "
+                    f"{'PASS' if ok else 'FAIL'}"
+                )
+        except (BudgetExceeded, TooLarge) as exc:
+            print(f"q={q}: {exc}", file=sys.stderr)
+            all_ok = False
             continue
-        params: dict = {}
-        if name == "grassmann-factor":
-            params["matroid"] = _load_matroid(args)
-            _require(args, "s")
-            params["s"] = args.s
-        else:
-            params["graph"] = _load_graph(args)
-            for key in ("s", "r", "k"):
-                val = getattr(args, key)
-                if val is not None:
-                    params[key] = val
-            if name == "pi-strat":
-                params["t"] = args.t if args.t is not None else 1
-                if args.subset is None:
-                    raise ParseError("pi-strat needs --subset (vertex bitmask)")
-                params["subset"] = args.subset
-                if args.pi is not None:
-                    params["base"] = _parse_partial(args.pi)
-        report = incidence.verify_identity(name, params, q, budget=args.budget)
-        rows.append({"q": q, "lhs": report.lhs, "rhs": report.rhs, "ok": report.equal})
-        print(
-            f"identity={name} q={q} lhs={report.lhs} rhs={report.rhs} "
-            f"{'PASS' if report.equal else 'FAIL'}"
-        )
-        all_ok = all_ok and report.equal
+        rows.append(row)
+        print(line)
+        all_ok = all_ok and ok
     if args.format == "json":
         print(json.dumps({"identity": name, "rows": rows}, sort_keys=True))
     return 0 if all_ok else 1
@@ -503,7 +513,7 @@ def main(argv=None) -> int:
         return 2
     except (BudgetExceeded, InsufficientPoints, GraphMotiveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code = 1
     if args.stats:
         print(f"evaluations={stats.evaluations}", file=sys.stderr)
     return code

@@ -221,21 +221,25 @@ def _span_of(field: FieldSpec, vectors: list[list[int]]) -> Span:
 
 
 def _combos(field: FieldSpec, basis_rows: list[list[int]], s: int):
-    """All linear combinations of the basis rows, in a fixed order."""
+    """One vector on every line through the origin in the span of the basis
+    rows: the combinations whose first nonzero coefficient is one, in a fixed
+    order.  With no rows the span is {0}, and its zero vector is yielded."""
     q = field.q
     mul = field.mul_table
     add = field.add_table
     if not basis_rows:
         yield [0] * s
         return
-    for coeffs in product(range(q), repeat=len(basis_rows)):
-        v = [0] * s
-        for c, row in zip(coeffs, basis_rows):
-            if c == 0:
-                continue
-            for i in range(s):
-                v[i] = add[v[i]][mul[c][row[i]]]
-        yield v
+    for lead, first in enumerate(basis_rows):
+        rest = basis_rows[lead + 1 :]
+        for coeffs in product(range(q), repeat=len(rest)):
+            v = list(first)
+            for c, row in zip(coeffs, rest):
+                if c == 0:
+                    continue
+                for i in range(s):
+                    v[i] = add[v[i]][mul[c][row[i]]]
+            yield v
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +302,15 @@ def count_X(
     the greedy basis to the standard basis, so only pinned maps are
     enumerated and the total is the pinned count times the number of
     invertible matrices.  For other s a direct pruned scan is used.
+
+    Either way each non-loop element outside the pinned basis is searched
+    one projective point at a time.  Scaling its vector by a nonzero scalar
+    leaves every span unchanged, so all q - 1 vectors on a line have the
+    same number of completions: only the vector whose first nonzero
+    coefficient over the rows generating its candidate space is one is
+    tried, and the result is multiplied by q - 1 per such element.  A loop
+    takes the zero vector, which no other element can.  The budget and the
+    evaluation counter count these normalized candidates.
     """
     if s is None:
         s = matroid.rank
@@ -319,6 +332,9 @@ def count_X(
         basis = []
         order = list(range(matroid.m))
     levels = _level_constraints(matroid, order)
+    one = field.index(field.one)
+    units = [[one if i == j else 0 for i in range(s)] for j in range(s)]
+    scaled = sum(1 for e in order[len(basis) :] if matroid.ranks[1 << e])
 
     visited = 0
     assigned: dict[int, list[int]] = {}
@@ -332,9 +348,7 @@ def count_X(
             # standard basis vector: independence from every prefix subset
             # holds automatically, and no closure membership can be required
             # of a rank-raising element
-            vec = [0] * s
-            vec[t] = field.index(field.one)
-            assigned[e] = vec
+            assigned[e] = units[t]
             total = dfs(t + 1)
             del assigned[e]
             return total
@@ -350,13 +364,10 @@ def count_X(
                     field, [assigned[x] for x in _elements(gen)]
                 ).rows
             ]
-            candidates = _combos(field, gen_rows, s)
         else:
-            candidates = (
-                list(vals) for vals in product(range(q), repeat=s)
-            )
+            gen_rows = units
         total = 0
-        for vec in candidates:
+        for vec in _combos(field, gen_rows, s):
             visited += 1
             if visited > limit:
                 raise BudgetExceeded(visited, limit, "representation scan")
@@ -372,7 +383,7 @@ def count_X(
             del assigned[e]
         return total
 
-    count = dfs(0)
+    count = dfs(0) * (q - 1) ** scaled
     stats.add(visited)
     if pinned:
         count *= count_invertible(s, q)

@@ -240,6 +240,54 @@ def test_verify_matroid_identity(capsys):
     assert out.count("PASS") == 2 and "FAIL" not in out
 
 
+def test_verify_reports_each_order(capsys):
+    # an order over the budget or past the table limit is reported on its
+    # own line and the other orders still run
+    code = main(
+        ["verify", "--identity", "firstred", "--name", "C3", "--s", "2", "--r", "1",
+         "--k", "1", "--q", "2,257"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "identity=firstred q=2 lhs=39 rhs=39 PASS\n"
+    assert captured.err.startswith("q=257: ")
+
+    code = main(
+        ["verify", "--identity", "Jyuck", "--name", "P3", "--s", "3", "--q", "2,3,2",
+         "--format", "json"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    *lines, json_line = captured.out.splitlines()
+    assert lines == ["identity=Jyuck q=2 lhs=39424 rhs=39424 PASS"] * 2
+    assert [row["q"] for row in json.loads(json_line)["rows"]] == [2, 2]
+    assert captured.err.startswith("q=3: ") and captured.err.count("\n") == 1
+
+    # every order ran and passed: exit 0
+    code = main(["verify", "--identity", "firstred", "--name", "C3", "--s", "2",
+                 "--r", "1", "--k", "1", "--q", "2,3"])
+    capsys.readouterr()
+    assert code == 0
+
+
+def test_stats_are_reported_on_error_exit(capsys):
+    # q = 2 fits in the budget, q = 3 does not; the counter still ends stderr
+    code = main(["counterexample", "--budget", "20", "--stats"])
+    captured = capsys.readouterr()
+    assert code == 1
+    error_line, stats_line = captured.err.splitlines()
+    assert error_line.startswith("error: representation scan")
+    assert stats_line.startswith("evaluations=")
+    assert int(captured.err.strip().rsplit("=", 1)[1]) > 0
+
+    code = main(["fit", "--kind", "YG", "--name", "C3", "--q", "2", "--max-deg", "3",
+                 "--stats"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:")
+    assert int(captured.err.strip().rsplit("=", 1)[1]) > 0
+
+
 def test_fit_recovers_cycle_polynomial(capsys):
     code = main(
         [

@@ -22,6 +22,7 @@ from graphmotive import (
     make_field,
     matroid_from_text,
     matroid_to_text,
+    stats,
     uniform,
     validate_axioms,
     vector_matroid,
@@ -149,6 +150,42 @@ def test_count_X_matches_oracle_on_uniforms():
         assert count_X(matroid, s, q) == count_X_oracle(matroid, s, q)
 
 
+def test_count_X_matches_oracle_on_random_vector_matroids():
+    # loops, parallel elements and an ambient space one larger than the
+    # rank exercise every branch of the normalized search
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def configurations(draw):
+        q = draw(st.sampled_from([2, 3, 4]))
+        mul = make_field(q).mul_table
+        dim = draw(st.integers(1, 3))
+        cols: list[list[int]] = []
+        for _ in range(draw(st.integers(0, 4))):
+            kind = draw(st.sampled_from(["any", "loop", "parallel"]))
+            if kind == "loop":
+                cols.append([0] * dim)
+            elif kind == "parallel" and cols:
+                base = draw(st.sampled_from(cols))
+                c = draw(st.integers(1, q - 1))
+                cols.append([mul[c][x] for x in base])
+            else:
+                cols.append(draw(st.lists(st.integers(0, q - 1), min_size=dim, max_size=dim)))
+        return q, cols, draw(st.integers(0, 1))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(configurations())
+    def check(case):
+        q, cols, extra = case
+        matroid = vector_matroid(make_field(q), cols)
+        s = matroid.rank + extra
+        hypothesis.assume(q ** (s * matroid.m) <= 20000)
+        assert count_X(matroid, s, q) == count_X_oracle(matroid, s, q)
+
+    check()
+
+
 def test_count_X_conventions():
     assert count_X(uniform(0, 0), 0, 2) == 1  # the empty labeling
     assert count_X(uniform(2, 2), 1, 3) == 0  # ambient too small
@@ -172,6 +209,27 @@ def test_fano_representation_counts():
     # projective representation class
     for q in (2, 4):
         assert count_X(f, 3, q) == (q - 1) ** 6 * count_invertible(3, q)
+
+
+def test_fano_search_is_one_projective_point_per_line():
+    # the six non-basis points are tried up to scaling only: a few hundred
+    # candidates at q = 7, where every vector multiple took 446341
+    stats.reset()
+    assert count_X(fano(), 3, 7) == 0
+    assert stats.evaluations < 1000
+
+
+def test_non_fano_plane_counts_vanish_in_characteristic_two():
+    # the seven 0/1 vectors of F_3^3 are the mirror image of the seven-point
+    # plane: the three "diagonal" points are collinear exactly in
+    # characteristic 2, so representations exist only at odd orders
+    cols = [[(i >> 0) & 1, (i >> 1) & 1, (i >> 2) & 1] for i in range(1, 8)]
+    non_fano = vector_matroid(make_field(3), cols)
+    assert non_fano != fano()
+    for q in (2, 4, 8):
+        assert count_X(non_fano, 3, q) == 0
+    for q in (3, 5, 7, 9):
+        assert count_X(non_fano, 3, q) == (q - 1) ** 6 * count_invertible(3, q)
 
 
 def test_fano_demo_table():
