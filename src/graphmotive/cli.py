@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
     TooLarge,
 )
-from .ffield import make_field
+from .ffield import _prime_power
 from .matroids import PartialRank
 from .motive import IntPoly, NoFit, fit_polynomial
 
@@ -62,7 +62,9 @@ def _parse_q_list(text: str) -> list[int]:
             q = int(part)
         except ValueError as exc:
             raise ParseError(f"bad field order {part!r}") from exc
-        make_field(q)  # validates prime power
+        # a prime power only: building the field here would stop the whole
+        # run at an order too large to tabulate, instead of that order alone
+        _prime_power(q)
         out.append(q)
     if not out:
         raise ParseError("empty field-order list")
@@ -502,8 +504,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     stats.reset()
-    counting.clear_graph_count_cache()
-    incidence.clear_incidence_cache()
     try:
         if args.budget is not None and args.budget < 0:
             raise ParseError(f"--budget must be nonnegative, got {args.budget}")

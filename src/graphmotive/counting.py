@@ -32,10 +32,23 @@ class EnumerationStats:
         self.evaluations += n
 
     def reset(self) -> None:
+        """Start a new run: zero the counter and forget every memoized
+        count, so a run's evaluations cover all the work it needed."""
         self.evaluations = 0
+        _memo.clear()
 
 
 stats = EnumerationStats()
+
+# every count memoized within a run, keyed by (kind, ...) tuples
+_memo: dict[tuple, object] = {}
+
+
+def _memoized(key: tuple, compute):
+    """compute() once per key until the next stats.reset()."""
+    if key not in _memo:
+        _memo[key] = compute()
+    return _memo[key]
 
 
 def _require_budget(required: int, budget: int | None, what: str) -> None:
@@ -103,33 +116,25 @@ def _bits(mask: int):
 # ---------------------------------------------------------------------------
 # graph hypersurface counts
 
-_graph_count_memo: dict[tuple, int] = {}
-
-
-def clear_graph_count_cache() -> None:
-    _graph_count_memo.clear()
-
 
 def count_tree_complement(g: Graph, q: int, budget: int | None = None) -> int:
     """Points of F_q^E avoiding the zero locus of the tree-complement
     polynomial (the sum over spanning trees of the product of the
     off-tree variables)."""
-    key = ("Y", g.key(), q)
-    if key not in _graph_count_memo:
-        zeros = count_zeros(tree_complement_poly(g), q, budget=budget)
-        _graph_count_memo[key] = q**g.m - zeros
-    return _graph_count_memo[key]
+    return _memoized(
+        ("Y", g.key(), q),
+        lambda: q**g.m - count_zeros(tree_complement_poly(g), q, budget=budget),
+    )
 
 
 def count_tree_support(g: Graph, q: int, budget: int | None = None) -> int:
     """Points of F_q^E avoiding the zero locus of the spanning-tree
     polynomial (the sum over spanning trees of the product of the
     on-tree variables)."""
-    key = ("X", g.key(), q)
-    if key not in _graph_count_memo:
-        zeros = count_zeros(spanning_tree_poly(g), q, budget=budget)
-        _graph_count_memo[key] = q**g.m - zeros
-    return _graph_count_memo[key]
+    return _memoized(
+        ("X", g.key(), q),
+        lambda: q**g.m - count_zeros(spanning_tree_poly(g), q, budget=budget),
+    )
 
 
 @dataclass
@@ -264,6 +269,25 @@ def _pattern_cells(n: int, zero_pairs: frozenset[tuple[int, int]]):
     return cells
 
 
+def _symmetric_batches(d: int, q: int, cells):
+    """Every assignment of F_q indices to the given upper-triangle cells, as
+    (B, d, d) uint8 chunks of symmetric matrices with every other cell zero,
+    in the digit order of decode_assignments."""
+    import numpy as np
+
+    from .vecops import decode_assignments
+
+    total = q ** len(cells)
+    for start in range(0, total, _VECTOR_CHUNK):
+        stop = min(start + _VECTOR_CHUNK, total)
+        cols = decode_assignments(start, stop, len(cells), q)
+        mats = np.zeros((stop - start, d, d), dtype=np.uint8)
+        for pos, (i, j) in enumerate(cells):
+            mats[:, i, j] = cols[:, pos]
+            mats[:, j, i] = cols[:, pos]
+        yield mats
+
+
 def _head_tail_order(n: int, zero_pairs: frozenset[tuple[int, int]]):
     """Vertices touched by a forced zero first, fully free vertices last."""
     touched = sorted({v for pair in zero_pairs for v in pair})
@@ -288,32 +312,21 @@ def _census_pattern(
     rank_cap + 1 (callers that only need 'rank == target' use this)."""
     field = make_field(q)
     cells = _pattern_cells(d, zero_pairs)
-    nfree = len(cells)
-    total = q**nfree
+    total = q ** len(cells)
     _require_budget(total, budget, "symmetric pattern scan")
     stats.add(total)
 
     import numpy as np
 
-    from .vecops import VecField, decode_assignments
+    from .vecops import VecField
 
     vf = VecField(field)
     cap = None if rank_cap is None else rank_cap + 1
     counts: dict[int, int] = {}
-    start = 0
-    while start < total:
-        stop = min(start + _VECTOR_CHUNK, total)
-        cols = decode_assignments(start, stop, nfree, q)
-        mats = np.zeros((stop - start, d, d), dtype=np.uint8)
-        for pos, (i, j) in enumerate(cells):
-            v = cols[:, pos]
-            mats[:, i, j] = v
-            if i != j:
-                mats[:, j, i] = v
+    for mats in _symmetric_batches(d, q, cells):
         vals, freq = np.unique(vf.rank(mats, cap=cap), return_counts=True)
         for r, c in zip(vals.tolist(), freq.tolist()):
             counts[r] = counts.get(r, 0) + int(c)
-        start = stop
     return counts
 
 
@@ -336,30 +349,20 @@ def _count_full_rank_corner(
     """
     import numpy as np
 
-    from .vecops import VecField, decode_assignments
+    from .vecops import VecField
 
     field = make_field(q)
     u, w = d - 2, d - 1
     held = ((u, u), (w, w))
     cells = [c for c in _pattern_cells(d, zero_pairs) if c not in held]
-    nfree = len(cells)
-    total = q**nfree
+    total = q ** len(cells)
     _require_budget(4 * total, budget, "nondegenerate pattern scan")
     stats.add(4 * total)
 
     vf = VecField(field)
     one = field.index(field.one)
     result = 0
-    start = 0
-    while start < total:
-        stop = min(start + _VECTOR_CHUNK, total)
-        cols = decode_assignments(start, stop, nfree, q)
-        mats = np.zeros((stop - start, d, d), dtype=np.uint8)
-        for pos, (i, j) in enumerate(cells):
-            v = cols[:, pos]
-            mats[:, i, j] = v
-            if i != j:
-                mats[:, j, i] = v
+    for mats in _symmetric_batches(d, q, cells):
         d00 = vf.det(mats)
         mats[:, u, u] = one
         d10 = vf.det(mats)
@@ -387,7 +390,6 @@ def _count_full_rank_corner(
             ),
         ).astype(np.int64)
         result += int((q * q - zeros).sum())
-        start = stop
     return result
 
 
@@ -578,35 +580,27 @@ def count_symmetric_extensions(d2: int, r2: int, d1: int, r1: int, q: int) -> in
     return _extensions_cached(d2, r2, d1, r1, q)
 
 
-_extension_memo: dict[tuple[int, int, int, int, int], int] = {}
-
-
 def _extensions_cached(d2: int, r2: int, d1: int, r1: int, q: int) -> int:
     if r1 < 0 or r1 > d1 or r2 < 0 or r2 > d2:
         return 0
     if d2 == d1:
         return 1 if r2 == r1 else 0
-    key = (d2, r2, d1, r1, q)
-    got = _extension_memo.get(key)
-    if got is not None:
-        return got
     if d2 == d1 + 1:
         if r2 == r1:
-            val = q**r1
-        elif r2 == r1 + 1:
-            val = q ** (r1 + 1) - q**r1
-        elif r2 == r1 + 2:
-            val = q ** (d1 + 1) - q ** (r1 + 1)
-        else:
-            val = 0
-    else:
-        val = 0
-        for j in range(3):
-            val += _extensions_cached(d2, r2, d1 + 1, r1 + j, q) * _extensions_cached(
-                d1 + 1, r1 + j, d1, r1, q
-            )
-    _extension_memo[key] = val
-    return val
+            return q**r1
+        if r2 == r1 + 1:
+            return q ** (r1 + 1) - q**r1
+        if r2 == r1 + 2:
+            return q ** (d1 + 1) - q ** (r1 + 1)
+        return 0
+    return _memoized(
+        ("ext", d2, r2, d1, r1, q),
+        lambda: sum(
+            _extensions_cached(d2, r2, d1 + 1, r1 + j, q)
+            * _extensions_cached(d1 + 1, r1 + j, d1, r1, q)
+            for j in range(3)
+        ),
+    )
 
 
 def symmetric_extension_census(

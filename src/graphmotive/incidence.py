@@ -15,7 +15,9 @@ from itertools import product
 
 from .counting import (
     DEFAULT_BUDGET,
+    _memoized,
     _require_budget,
+    _symmetric_batches,
     count_invertible,
     count_subspaces,
     count_symmetric_extensions,
@@ -33,51 +35,39 @@ _F_CHUNK = 1 << 15
 # symmetric forms grouped by rank
 
 
-_sym_cache: dict[tuple[int, int], dict] = {}
-
-
 def _sym_by_rank(s: int, q: int):
     """All symmetric s x s index matrices over F_q grouped by rank, as
     {rank: uint8 array of shape (count, s, s)}."""
-    key = (s, q)
-    if key in _sym_cache:
-        return _sym_cache[key]
-    import numpy as np
 
-    from .vecops import VecField, decode_assignments
+    def compute():
+        import numpy as np
 
-    if s == 0:
-        out = {0: np.zeros((1, 0, 0), dtype=np.uint8)}
-        _sym_cache[key] = out
-        return out
-    field = make_field(q)
-    vf = VecField(field)
-    cells = [(i, j) for i in range(s) for j in range(i, s)]
-    total = q ** len(cells)
-    stats.add(total)
-    cols = decode_assignments(0, total, len(cells), q)
-    mats = np.zeros((total, s, s), dtype=np.uint8)
-    for pos, (i, j) in enumerate(cells):
-        v = cols[:, pos]
-        mats[:, i, j] = v
-        if i != j:
-            mats[:, j, i] = v
-    ranks = vf.rank(mats)
-    out = {r: mats[ranks == r] for r in range(s + 1)}
-    _sym_cache[key] = out
-    return out
+        from .vecops import VecField
+
+        cells = [(i, j) for i in range(s) for j in range(i, s)]
+        stats.add(q ** len(cells))
+        mats = np.concatenate(list(_symmetric_batches(s, q, cells)))
+        ranks = VecField(make_field(q)).rank(mats)
+        return {r: mats[ranks == r] for r in range(s + 1)}
+
+    return _memoized(("sym", s, q), compute)
+
+
+def _forms(s: int, q: int, r: int):
+    """Symmetric s x s forms of rank r.  Rank 0 is the zero form alone, so it
+    needs no census of every form: span-only counts stay as cheap as their
+    map scan."""
+    if r == 0:
+        import numpy as np
+
+        return np.zeros((1, s, s), dtype=np.uint8)
+    return _sym_by_rank(s, q)[r]
 
 
 def _edge_set(g: Graph) -> list[tuple[int, int]]:
     if not g.is_simple():
         raise NotSimple("incidence counts need a simple graph")
     return sorted({(min(u, v), max(u, v)) for u, v in g.edges})
-
-
-def _decode_f(start: int, stop: int, n: int, s: int, q: int):
-    from .vecops import decode_assignments
-
-    return decode_assignments(start, stop, n * s, q).reshape(stop - start, n, s)
 
 
 def _span_ok(vf, fmats, constraints):
@@ -100,7 +90,7 @@ def _edge_ok(vf, fmats, Q, edges, q: int):
     B = fmats.shape[0]
     s = Q.shape[0]
     ok = np.ones(B, dtype=bool)
-    if not edges:
+    if not edges or not s:
         return ok
     support = sorted({v for e in edges for v in e})
     transformed = {}
@@ -127,15 +117,38 @@ def _edge_ok(vf, fmats, Q, edges, q: int):
     return ok
 
 
+def _pairs(g: Graph, s: int, q: int, ranks, budget: int | None):
+    """Scan of the (Q, f) pairs with Q of the given ranks and f any map from
+    the vertices into F_q^s.
+
+    Charges q^(n s) times the number of such forms to the budget and the
+    evaluation counter before any form is built, then yields per chunk of
+    maps (vf, fmats, oks): fmats is (B, n, s), and oks lazily gives
+    (rank, edge-condition mask) for each form in turn.
+    """
+    if s < 0:
+        raise BadParams(f"ambient dimension must be nonnegative, got {s}")
+    from .vecops import VecField, decode_assignments
+
+    edges = _edge_set(g)
+    n = g.n
+    nf = q ** (n * s)
+    pairs = nf * sum(count_symmetric_rank(s, r, q) for r in ranks)
+    _require_budget(pairs, budget, "incidence scan")
+    stats.add(pairs)
+    vf = VecField(make_field(q))
+    forms = [(r, _forms(s, q, r)) for r in ranks]
+    for start in range(0, nf, _F_CHUNK):
+        stop = min(start + _F_CHUNK, nf)
+        fmats = decode_assignments(start, stop, n * s, q).reshape(stop - start, n, s)
+        oks = (
+            (r, _edge_ok(vf, fmats, Q, edges, q)) for r, mats in forms for Q in mats
+        )
+        yield vf, fmats, oks
+
+
 # ---------------------------------------------------------------------------
 # the full (rank, span-dim) table for one graph and ambient dimension
-
-
-_table_memo: dict[tuple, dict[tuple[int, int], int]] = {}
-
-
-def clear_incidence_cache() -> None:
-    _table_memo.clear()
 
 
 def _incidence_table(
@@ -143,56 +156,35 @@ def _incidence_table(
 ) -> dict[tuple[int, int], int]:
     """counts[(r, k)] over all (Q, f) pairs satisfying the edge conditions,
     classified by the rank r of Q and the span dimension k of f."""
-    key = (g.key(), s, q)
-    got = _table_memo.get(key)
-    if got is not None:
-        return got
-    edges = _edge_set(g)
-    n = g.n
-    raw = q ** (s * (s + 1) // 2 + s * n)
-    _require_budget(raw, budget, "incidence scan")
 
-    table = {
-        (r, k): 0 for r in range(s + 1) for k in range(min(s, n) + 1)
-    }
-    if s == 0:
-        table[(0, 0)] = 1
-        _table_memo[key] = table
-        return table
-    if n == 0:
-        syms = _sym_by_rank(s, q)
-        for r, mats in syms.items():
-            table[(r, 0)] = int(mats.shape[0])
-        _table_memo[key] = table
-        return table
+    def compute():
+        import numpy as np
 
-    import numpy as np
+        kmax = min(s, g.n)
+        hist = np.zeros((s + 1, kmax + 1), dtype=np.int64)
+        for vf, fmats, oks in _pairs(g, s, q, range(s + 1), budget):
+            dims = vf.rank(fmats)
+            for r, ok in oks:
+                hist[r] += np.bincount(dims[ok], minlength=kmax + 1)
+        return {(r, k): int(hist[r, k]) for r in range(s + 1) for k in range(kmax + 1)}
 
-    from .vecops import VecField
+    return _memoized(("A", g.key(), s, q), compute)
 
-    field = make_field(q)
-    vf = VecField(field)
-    syms = _sym_by_rank(s, q)
-    nf = q ** (n * s)
-    total_q = sum(int(m.shape[0]) for m in syms.values())
-    stats.add(nf * total_q)
-    start = 0
-    while start < nf:
-        stop = min(start + _F_CHUNK, nf)
-        fmats = _decode_f(start, stop, n, s, q)
-        dims = vf.rank(fmats)
-        for r, mats in syms.items():
-            for qi in range(mats.shape[0]):
-                ok = _edge_ok(vf, fmats, mats[qi], edges, q)
-                if not ok.any():
-                    continue
-                hist = np.bincount(dims[ok], minlength=min(s, n) + 1)
-                for k, c in enumerate(hist.tolist()):
-                    if c:
-                        table[(r, k)] += c
-        start = stop
-    _table_memo[key] = table
-    return table
+
+def _count_constrained(
+    g: Graph, s: int, q: int, rank: int, constraints, budget: int | None
+) -> int:
+    """(Q, f) pairs with Q of the given rank whose map meets every (vertex
+    mask, span dimension) requirement.  An unsatisfiable requirement gives
+    zero with no scan (a negative s goes on to _pairs, which rejects it)."""
+    if s >= 0 and any(need > min(s, bin(mask).count("1")) for mask, need in constraints):
+        return 0
+    total = 0
+    for vf, fmats, oks in _pairs(g, s, q, (rank,), budget):
+        want = _span_ok(vf, fmats, constraints)
+        for _, ok in oks:
+            total += int((ok & want).sum())
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -257,18 +249,11 @@ def count_A_slow(g: Graph, s: int, r: int, k: int, q: int, budget: int | None = 
     return total
 
 
-_j_memo: dict[tuple, int] = {}
-
-
 def count_J(g: Graph, s: int, q: int, budget: int | None = None) -> int:
     """Pairs (Q, f) with Q invertible and f unrestricted (any span)."""
-    key = (g.key(), s, q)
-    got = _j_memo.get(key)
-    if got is not None:
-        return got
-    val = _count_J_constrained(g, s, q, (), budget)
-    _j_memo[key] = val
-    return val
+    return _memoized(
+        ("J", g.key(), s, q), lambda: _count_constrained(g, s, q, s, (), budget)
+    )
 
 
 def count_J_partial(
@@ -280,40 +265,7 @@ def count_J_partial(
         raise BadParams(
             f"requirements are over {pi.ground} elements, graph has {g.n} vertices"
         )
-    for mask, need in pi.pairs:
-        if need > min(s, bin(mask).count("1")):
-            return 0
-    return _count_J_constrained(g, s, q, tuple(sorted(pi.pairs)), budget)
-
-
-def _count_J_constrained(
-    g: Graph, s: int, q: int, constraints: tuple, budget: int | None
-) -> int:
-    edges = _edge_set(g)
-    n = g.n
-    raw = q ** (s * (s + 1) // 2 + s * n)
-    _require_budget(raw, budget, "invertible-pair scan")
-    if s == 0:
-        # the empty form is invertible; the empty-span conditions want 0
-        return 1 if all(need == 0 for _, need in constraints) else 0
-    from .vecops import VecField
-
-    field = make_field(q)
-    vf = VecField(field)
-    mats = _sym_by_rank(s, q)[s]
-    nf = q ** (n * s)
-    stats.add(nf * int(mats.shape[0]))
-    total = 0
-    start = 0
-    while start < nf:
-        stop = min(start + _F_CHUNK, nf)
-        fmats = _decode_f(start, stop, n, s, q)
-        want = _span_ok(vf, fmats, constraints)
-        for qi in range(mats.shape[0]):
-            ok = _edge_ok(vf, fmats, mats[qi], edges, q)
-            total += int((ok & want).sum())
-        start = stop
-    return total
+    return _count_constrained(g, s, q, s, tuple(sorted(pi.pairs)), budget)
 
 
 def count_K(g: Graph, s: int, q: int, budget: int | None = None) -> int:
@@ -330,23 +282,7 @@ def count_H(g: Graph, s: int, q: int, budget: int | None = None) -> int:
 def count_L(s: int, pi: PartialRank, q: int, budget: int | None = None) -> int:
     """Maps from the ground set into F_q^s with required span dimensions on
     the given subsets (no form, no edges)."""
-    m = pi.ground
-    raw = q ** (s * m)
-    _require_budget(raw, budget, "span-constrained map scan")
-    for mask, need in pi.pairs:
-        if need > min(s, bin(mask).count("1")):
-            return 0
-    from .vecops import VecField
-
-    vf = VecField(make_field(q))
-    stats.add(raw)
-    total = 0
-    start = 0
-    while start < raw:
-        stop = min(start + _F_CHUNK, raw)
-        total += int(_span_ok(vf, _decode_f(start, stop, m, s, q), pi.pairs).sum())
-        start = stop
-    return total
+    return _count_constrained(Graph(pi.ground, ()), s, q, 0, pi.pairs, budget)
 
 
 # ---------------------------------------------------------------------------

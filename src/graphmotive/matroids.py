@@ -145,18 +145,11 @@ def vector_matroid(field: FieldSpec, columns: list[list[int]]) -> Matroid:
     return Matroid(m, tuple(ranks))
 
 
-_fano_cache: Matroid | None = None
-
-
 def fano() -> Matroid:
     """The seven-element rank-3 matroid of the projective plane over F_2:
     element e represents the nonzero vector with binary digits of e+1."""
-    global _fano_cache
-    if _fano_cache is None:
-        field = make_field(2)
-        cols = [[(i >> 0) & 1, (i >> 1) & 1, (i >> 2) & 1] for i in range(1, 8)]
-        _fano_cache = vector_matroid(field, cols)
-    return _fano_cache
+    cols = [[(i >> 0) & 1, (i >> 1) & 1, (i >> 2) & 1] for i in range(1, 8)]
+    return vector_matroid(make_field(2), cols)
 
 
 def uniform(r: int, m: int) -> Matroid:
@@ -383,8 +376,10 @@ def count_X(
             del assigned[e]
         return total
 
-    count = dfs(0) * (q - 1) ** scaled
-    stats.add(visited)
+    try:
+        count = dfs(0) * (q - 1) ** scaled
+    finally:
+        stats.add(visited)
     if pinned:
         count *= count_invertible(s, q)
     return count
@@ -435,9 +430,10 @@ def count_X_oracle(
             vecs.pop()
         return total
 
-    count = dfs(0)
-    stats.add(visited)
-    return count
+    try:
+        return dfs(0)
+    finally:
+        stats.add(visited)
 
 
 def fano_demo(q_list, budget: int | None = None) -> CountTable:

@@ -147,13 +147,14 @@ def test_count_partial_budget_failure_still_reports_the_rest(capsys):
 
 
 def test_count_too_large_order_still_reports_the_rest(capsys):
-    # q=257 has no tabled arithmetic; like a budget overrun it costs only
-    # its own row
-    code = main(["count", "--kind", "YG", "--name", "C3", "--q", "2,257"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "q=2 count=4" in captured.out and "q=257" not in captured.out
-    assert "q=257" in captured.err
+    # q=257 has no tabled arithmetic and q=65537 is past the largest field;
+    # like a budget overrun each costs only its own row
+    for big in ("257", "65537"):
+        code = main(["count", "--kind", "YG", "--name", "C3", "--q", f"2,{big}"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "q=2 count=4" in captured.out and f"q={big}" not in captured.out
+        assert captured.err.startswith(f"q={big}: ")
 
 
 def test_graph_input_forms_agree(tmp_path, capsys):
@@ -287,6 +288,27 @@ def test_stats_are_reported_on_error_exit(capsys):
     assert captured.err.startswith("error:")
     assert int(captured.err.strip().rsplit("=", 1)[1]) > 0
 
+    # a search cut short by the budget still reports the nodes it visited
+    code = main(["count", "--kind", "XM", "--matroid", "U2,4", "--s", "3", "--q", "3",
+                 "--budget", "10", "--stats"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("q=3: representation scan")
+    assert int(captured.err.strip().rsplit("=", 1)[1]) > 0
+
+
+def test_stats_count_one_run(tmp_path, monkeypatch, capsys):
+    # nothing memoized by one run answers the next: with an empty disk cache
+    # each time, the same request reports the same work
+    evals = []
+    for run in range(2):
+        monkeypatch.setenv("GRAPHMOTIVE_CACHE", str(tmp_path / f"cache{run}"))
+        code = main(["count", "--kind", "J", "--name", "P3", "--s", "2", "--q", "3",
+                     "--stats"])
+        assert code == 0
+        evals.append(int(capsys.readouterr().err.strip().rsplit("=", 1)[1]))
+    assert evals[0] > 0 and evals[0] == evals[1]
+
 
 def test_fit_recovers_cycle_polynomial(capsys):
     code = main(
@@ -359,6 +381,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["count", "--kind", "YG", "--name", "C3", "--q", "2", "--budget", "-1"],
         ["poly", "--name", "Q7"],  # unknown graph name
         ["count", "--kind", "YG", "--name", "C3", "--q", "6"],  # not a prime power
+        ["count", "--kind", "YG", "--name", "C3", "--q", "2,70000"],
         ["count", "--kind", "YG", "--name", "C3", "--q", "abc"],
         ["count", "--kind", "YG", "--name", "C3", "--q", ","],
         ["count", "--kind", "A", "--name", "K2", "--q", "2", "--s", "2"],  # no r, k
@@ -370,6 +393,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["count", "--kind", "XM", "--q", "2"],  # no matroid
         ["fit", "--kind", "YG", "--name", "C3", "--q", "2,3"],  # no max-deg
         ["count", "--kind", "L", "--name", "C3", "--q", "2", "--s", "1"],  # no --pi
+        # negative ambient dimension
+        ["count", "--kind", "J", "--name", "P3", "--s", "-1", "--q", "2"],
+        ["verify", "--identity", "Jyuck", "--name", "P3", "--s", "-1", "--q", "2"],
+        ["count", "--kind", "L", "--pi", "3:", "--s", "-1", "--q", "2"],
     ]
     for argv in bad_invocations:
         code = main(argv)

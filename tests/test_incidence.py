@@ -29,6 +29,7 @@ from graphmotive import (
     path,
     rank_from_index_rows,
     star,
+    stats,
     uniform,
     verify_identity,
 )
@@ -217,6 +218,10 @@ def test_count_L_against_oracle():
     assert count_L(2, PartialRank(2, ((0b01, 2),)), 3) == 0
     # empty subset needing positive span
     assert count_L(2, PartialRank(2, ((0b00, 1),)), 2) == 0
+    # the work is the map scan alone: no census of the symmetric forms
+    stats.reset()
+    assert count_L(3, PartialRank(1, ()), 7) == 7**3
+    assert stats.evaluations == 7**3
 
 
 def brute_J_partial(g, s, pi, q):
@@ -261,6 +266,35 @@ def brute_J_partial(g, s, pi, q):
             if good:
                 total += 1
     return total
+
+
+def test_fast_paths_match_oracles_on_random_small_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(0, 3))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        needs = draw(
+            st.dictionaries(st.integers(0, (1 << n) - 1), st.integers(0, 2), max_size=3)
+        )
+        pi = PartialRank(n, tuple(needs.items()))
+        return Graph(n, tuple(edges)), pi, draw(st.integers(0, 2)), draw(st.sampled_from([2, 3]))
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(cases())
+    def check(case):
+        g, pi, s, q = case
+        kmax = min(s, g.n)
+        for r in range(s + 1):
+            for k in range(kmax + 1):
+                assert count_A(g, s, r, k, q) == count_A_slow(g, s, r, k, q)
+        assert count_J(g, s, q) == sum(count_A(g, s, s, k, q) for k in range(kmax + 1))
+        assert count_L(s, pi, q) == brute_L(s, pi, q)
+
+    check()
 
 
 def test_count_J_partial_against_oracle():
