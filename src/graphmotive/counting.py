@@ -67,43 +67,11 @@ def _tables(field: FieldSpec):
 
 def _const_index(field: FieldSpec, c: int) -> int:
     """Index of the image of the integer c in the field."""
-    add, _ = _tables(field)
-    r = c % field.p
-    idx = 0
-    one = field.index(field.one)
-    for _ in range(r):
-        idx = add[idx][one]
-    return idx
+    return field.index(field.element_from_int(c))
 
 
 # ---------------------------------------------------------------------------
 # zero counting for multilinear polynomials
-
-
-def count_zeros(poly: MultilinearPoly, q: int, budget: int | None = None) -> int:
-    """Number of points of F_q^nvars where the polynomial vanishes."""
-    field = make_field(q)
-    nvars = poly.nvars
-    total_points = q**nvars
-    _require_budget(total_points, budget, "polynomial zero scan")
-    stats.add(total_points)
-
-    terms = [
-        (_const_index(field, coeff), tuple(_bits(mask)))
-        for mask, coeff in poly.terms.items()
-    ]
-    add, mul = _tables(field)
-    zeros = 0
-    for point in product(range(q), repeat=nvars):
-        acc = 0
-        for cidx, tvars in terms:
-            t = cidx
-            for v in tvars:
-                t = mul[t][point[v]]
-            acc = add[acc][t]
-        if acc == 0:
-            zeros += 1
-    return zeros
 
 
 def _bits(mask: int):
@@ -111,6 +79,92 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _index_terms(field: FieldSpec, terms) -> list[tuple[int, tuple[int, ...]]]:
+    """(coefficient index, variables) per monomial, dropping the monomials
+    whose coefficient vanishes in the field."""
+    out = []
+    for mask, coeff in terms:
+        cidx = _const_index(field, coeff)
+        if cidx:
+            out.append((cidx, tuple(_bits(mask))))
+    return out
+
+
+def _evaluate(vf, terms, cols):
+    """Values of the polynomial with the given index terms at each row of
+    cols, a (B, n) array of variable assignments as field indices."""
+    import numpy as np
+
+    acc = np.zeros(len(cols), dtype=np.uint8)
+    for cidx, tvars in terms:
+        t = cidx
+        if cidx == 1 and tvars:  # index 1 is the unit: no multiplication by it
+            t, tvars = cols[:, tvars[0]], tvars[1:]
+        for v in tvars:
+            t = vf.mul(cols[:, v], t)
+        acc = vf.add(acc, t)
+    return acc
+
+
+def _bilinear_zeros(vf, a, b, c, e, q: int):
+    """Per row, the number of (x, y) in F_q^2 with a*x*y + b*x + c*y + e = 0.
+
+      a != 0: substitute X = a x + c, Y = a y + b -> X Y = b c - a e,
+              so q - 1 zeros, or 2q - 1 when b c = a e;
+      a == 0, (b, c) != 0: a line, q zeros;
+      all of a, b, c zero: q^2 zeros iff e == 0.
+    """
+    import numpy as np
+
+    crit = vf.sub(vf.mul(b, c), vf.mul(a, e))
+    return np.where(
+        a != 0,
+        (q - 1) + (crit == 0).astype(np.int64) * q,
+        np.where((b != 0) | (c != 0), q, np.where(e == 0, q * q, 0)),
+    ).astype(np.int64)
+
+
+def count_zeros(poly: MultilinearPoly, q: int, budget: int | None = None) -> int:
+    """Number of points of F_q^nvars where the polynomial vanishes.
+
+    The polynomial is multilinear, so in its last two variables x, y it reads
+    a*x*y + b*x + c*y + e with a, b, c, e polynomials in the others: only the
+    other variables are scanned, and _bilinear_zeros counts the (x, y) pairs.
+    Fewer than two variables are padded with unused ones, which multiply the
+    count by q each.  Budget and stats count every point of F_q^nvars.
+    """
+    from .vecops import VecField, decode_assignments
+
+    field = make_field(q)
+    nvars = poly.nvars
+    total_points = q**nvars
+    _require_budget(total_points, budget, "polynomial zero scan")
+    stats.add(total_points)
+
+    n = max(nvars, 2)
+    x, y = n - 2, n - 1
+    # monomials by whether they hold x and y: coefficients of xy, x, y, 1
+    parts = {key: [] for key in ((1, 1), (1, 0), (0, 1), (0, 0))}
+    for mask, coeff in poly.terms.items():
+        key = (mask >> x & 1, mask >> y & 1)
+        parts[key].append((mask & ~(1 << x | 1 << y), coeff))
+    a, b, c, e = (_index_terms(field, part) for part in parts.values())
+
+    vf = VecField(field)
+    zeros = 0
+    scan = q ** (n - 2)
+    for start in range(0, scan, _VECTOR_CHUNK):
+        cols = decode_assignments(start, min(start + _VECTOR_CHUNK, scan), n - 2, q)
+        zeros += int(
+            _bilinear_zeros(
+                vf, *(_evaluate(vf, part, cols) for part in (a, b, c, e)), q
+            ).sum()
+        )
+    pad = q ** (n - nvars)
+    assert zeros % pad == 0
+    return zeros // pad
 
 
 # ---------------------------------------------------------------------------
@@ -152,39 +206,30 @@ class Strata:
 def strata_counts(g: Graph, q: int, budget: int | None = None) -> Strata:
     """Stratify the zero locus of the spanning-tree polynomial by which
     coordinates vanish, and cross-check the two subset-sum identities
-    relating the closed and exact strata."""
+    relating the closed and exact strata.  Every point is scanned, no
+    variable held back, because each point's zero set is needed."""
+    import numpy as np
+
+    from .vecops import VecField, decode_assignments
+
     m = g.m
     if m > 20:
         raise TooLarge(f"stratification capped at 20 edges, got {m}")
     field = make_field(q)
-    poly = spanning_tree_poly(g)
     total_points = q**m
     _require_budget(total_points, budget, "stratum scan")
     stats.add(total_points)
 
-    terms = [
-        (_const_index(field, coeff), tuple(_bits(mask)))
-        for mask, coeff in poly.terms.items()
-    ]
-    add, mul = _tables(field)
-    exact = {s: 0 for s in range(1 << m)}
-    for point in product(range(q), repeat=max(m, 1)):
-        if m == 0:
-            point = ()
-        acc = 0
-        for cidx, tvars in terms:
-            t = cidx
-            for v in tvars:
-                t = mul[t][point[v]]
-            acc = add[acc][t]
-        if acc == 0:
-            zero_set = 0
-            for e in range(m):
-                if point[e] == 0:
-                    zero_set |= 1 << e
-            exact[zero_set] += 1
-        if m == 0:
-            break
+    terms = _index_terms(field, spanning_tree_poly(g).terms.items())
+    vf = VecField(field)
+    weights = np.int64(1) << np.arange(m, dtype=np.int64)
+    counts = np.zeros(1 << m, dtype=np.int64)
+    for start in range(0, total_points, _VECTOR_CHUNK):
+        cols = decode_assignments(start, min(start + _VECTOR_CHUNK, total_points), m, q)
+        hits = cols[_evaluate(vf, terms, cols) == 0]
+        zero_sets = (hits == 0).astype(np.int64) @ weights
+        counts += np.bincount(zero_sets, minlength=1 << m)
+    exact = dict(enumerate(counts.tolist()))
 
     full = (1 << m) - 1
     closed = {}
@@ -343,12 +388,11 @@ def _count_full_rank_corner(
     its row and column in one place), so two diagonal cells x, y are held
     back from the scan: evaluating the determinant at their four 0/1
     corners recovers det = a*x*y + b*x + c*y + e exactly, and the number of
-    (x, y) pairs with a*x*y + b*x + c*y + e != 0 has a closed form.  This
-    cuts the scan by a factor of q^2/4 against enumerating every free cell,
-    which is what makes degree-8 count tables reachable in the budget.
+    (x, y) pairs with a*x*y + b*x + c*y + e != 0 has a closed form
+    (_bilinear_zeros).  This cuts the scan by a factor of q^2/4 against
+    enumerating every free cell, which is what makes degree-8 count tables
+    reachable in the budget.
     """
-    import numpy as np
-
     from .vecops import VecField
 
     field = make_field(q)
@@ -370,25 +414,9 @@ def _count_full_rank_corner(
         d11 = vf.det(mats)
         mats[:, u, u] = 0
         d01 = vf.det(mats)
-        delta = d00
-        beta = vf.sub(d10, d00)
         gamma = vf.sub(d01, d00)
         alpha = vf.sub(vf.sub(d11, d10), gamma)
-        # zeros of a*x*y + b*x + c*y + e over F_q^2:
-        #   a != 0: substitute X = a x + c, Y = a y + b -> X Y = b c - a e,
-        #           so q - 1 zeros, or 2q - 1 when b c = a e;
-        #   a == 0, (b, c) != 0: a line, q zeros;
-        #   all of a, b, c zero: q^2 zeros iff e == 0.
-        crit = vf.sub(vf.mul(beta, gamma), vf.mul(alpha, delta))
-        zeros = np.where(
-            alpha != 0,
-            (q - 1) + (crit == 0).astype(np.int64) * q,
-            np.where(
-                (beta != 0) | (gamma != 0),
-                q,
-                np.where(delta == 0, q * q, 0),
-            ),
-        ).astype(np.int64)
+        zeros = _bilinear_zeros(vf, alpha, vf.sub(d10, d00), gamma, d00, q)
         result += int((q * q - zeros).sum())
     return result
 
@@ -435,7 +463,9 @@ def _count_pattern_rank(
     Vertices untouched by any forced zero are completely free, so the count
     splits: enumerate the touched block, then finish each block rank with
     the closed symmetric-extension count."""
-    if target < 0 or target > n:
+    if target < 0:
+        raise BadArgs(f"rank must be nonnegative, got r={target}")
+    if target > n:
         return 0
     d, mapped = _head_tail_order(n, zero_pairs)
     if d == n:
@@ -491,7 +521,7 @@ def verify_free_vertex_extension(g: Graph, q: int, budget: int | None = None) ->
     n = g.n
     rhs = (q ** (n + 1) - q**n) * (
         count_blocked_rank(g, n, q, budget)
-        + count_blocked_rank(g, n - 1, q, budget)
+        + (count_blocked_rank(g, n - 1, q, budget) if n else 0)
     )
     return lhs == rhs
 

@@ -276,6 +276,8 @@ def count_K(g: Graph, s: int, q: int, budget: int | None = None) -> int:
 def count_H(g: Graph, s: int, q: int, budget: int | None = None) -> int:
     """Pairs in ambient dimension n (the vertex count) with Q of rank s and
     f of full span n."""
+    if s < 0:
+        raise BadParams(f"rank must be nonnegative, got s={s}")
     return count_A(g, g.n, s, g.n, q, budget)
 
 

@@ -397,6 +397,9 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["count", "--kind", "J", "--name", "P3", "--s", "-1", "--q", "2"],
         ["verify", "--identity", "Jyuck", "--name", "P3", "--s", "-1", "--q", "2"],
         ["count", "--kind", "L", "--pi", "3:", "--s", "-1", "--q", "2"],
+        # negative rank
+        ["count", "--kind", "H", "--name", "P3", "--s", "-2", "--q", "2"],
+        ["count", "--kind", "Zrank", "--name", "P3", "--r", "-1", "--q", "2"],
     ]
     for argv in bad_invocations:
         code = main(argv)
@@ -404,6 +407,9 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert code == 2, argv
         assert captured.err.startswith("error:"), argv
         assert captured.err.count("\n") == 1, argv
+    # the error names the rank the user gave, not count_A's parameters
+    main(["count", "--kind", "H", "--name", "P3", "--s", "-2", "--q", "2"])
+    assert "s=-2" in capsys.readouterr().err
 
     # Unknown choices are rejected by the argument parser itself.
     with pytest.raises(SystemExit) as info:

@@ -96,6 +96,46 @@ def test_count_zeros_budget_and_stats():
     assert info.value.required == 27 and info.value.budget == 26
 
 
+def test_count_zeros_matches_oracle_on_random_polynomials():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+        # five variables at q >= 7 is up to 59049 oracle evaluations
+        nvars = draw(st.integers(0, 5 if q <= 5 else 4))
+        # coefficients in -9..9 include multiples of every characteristic
+        terms = draw(
+            st.dictionaries(
+                st.integers(0, (1 << nvars) - 1), st.integers(-9, 9), max_size=6
+            )
+        )
+        return MultilinearPoly(nvars, terms), q
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(cases())
+    def check(case):
+        poly, q = case
+        assert count_zeros(poly, q) == zeros_oracle(poly, q)
+
+    check()
+    # zero and constant polynomials, in every number of variables
+    for nvars in range(6):
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            if q**nvars > 5**5:
+                continue
+            for c in (0, 1, 2, 3, -7, 9):
+                poly = MultilinearPoly.const(nvars, c)
+                assert count_zeros(poly, q) == zeros_oracle(poly, q)
+
+
+def test_count_zeros_crosses_chunk_boundaries():
+    # the tree-complement polynomial of a cycle is the sum of its edge
+    # variables; with two held back the scan covers 2^19 points, two chunks
+    assert count_tree_complement(cycle(21), 2) == 2**21 - 2**20
+
+
 def test_hypersurface_complements_on_cycles():
     # one independent cycle: the complement count collapses to q^m - q^(m-1)
     for n in (3, 4, 5):
@@ -150,6 +190,39 @@ def test_strata_counts_consistency():
     long_path = path(22)
     with pytest.raises(TooLarge):
         strata_counts(long_path, 2)
+
+
+def strata_oracle(g, q):
+    """Zero points of the spanning-tree polynomial by exact zero set,
+    one element-level evaluation per point."""
+    field = make_field(q)
+    poly = spanning_tree_poly(g)
+    exact = {s: 0 for s in range(1 << g.m)}
+    for point in itertools.product(field.elements, repeat=g.m):
+        if evaluate(poly, field, list(point)) == field.zero:
+            exact[sum(1 << e for e in range(g.m) if point[e] == field.zero)] += 1
+    return exact
+
+
+def test_strata_counts_match_oracle_on_random_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 4))
+        # loops and multiple edges included
+        pairs = [(u, v) for u in range(n) for v in range(u, n)]
+        edges = draw(st.lists(st.sampled_from(pairs), max_size=5))
+        return Graph(n, tuple(edges)), draw(st.sampled_from([2, 3]))
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(cases())
+    def check(case):
+        g, q = case
+        assert strata_counts(g, q).zero_exactly_on == strata_oracle(g, q)
+
+    check()
 
 
 def test_contract_delete_signed_sums():
