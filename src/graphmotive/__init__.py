@@ -101,17 +101,7 @@ from .matroids import (
     vector_matroid,
     von_staudt_check,
 )
-from .motive import (
-    IntPoly,
-    NoFit,
-    NotPolynomial,
-    RationalFn,
-    eval_at,
-    fit_polynomial,
-    in_S,
-    integrality_reduce,
-    rational_arith,
-)
+from .motive import IntPoly, NoFit, fit_polynomial
 from .cache import CountCache
 
 __version__ = "0.1.0"

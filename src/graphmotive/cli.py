@@ -11,6 +11,7 @@ Exit codes: 0 success / all PASS, 1 FAIL or failed fit, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -90,14 +91,6 @@ def _load_graph(args) -> graphs.Graph:
     return graphs.from_name(args.name)
 
 
-def _graph_label(args) -> str:
-    if args.name:
-        return args.name.strip().upper()
-    if args.g6:
-        return f"g6:{args.g6.strip()}"
-    return f"file:{args.graph}"
-
-
 def _load_matroid(args) -> matroids.Matroid:
     text = args.matroid
     if text is None:
@@ -153,18 +146,19 @@ def _require(args, *names):
 # count dispatch
 
 
-def _count_input_text(kind: str, args) -> str:
-    """Exact serialized input for the cache key (labeled, not canonical:
-    isomorphic inputs cache separately by design)."""
+def _count_input(kind: str, args):
+    """The request's input, loaded once, and its exact serialization for the
+    cache key (labeled, not canonical: isomorphic inputs cache separately by
+    design)."""
     if kind == "XM":
-        return matroids.matroid_to_text(_load_matroid(args))
+        matroid = _load_matroid(args)
+        return matroid, matroids.matroid_to_text(matroid)
     if kind == "L":
         _require(args, "pi")
         pi = _parse_partial(args.pi)
-        return f"partial {pi.ground} " + ";".join(
-            f"{m}={d}" for m, d in pi.pairs
-        )
-    return graphs.format_edge_list(_load_graph(args))
+        return pi, f"partial {pi.ground} " + ";".join(f"{m}={d}" for m, d in pi.pairs)
+    g = _load_graph(args)
+    return g, graphs.format_edge_list(g)
 
 
 def _count_params(kind: str, args) -> dict:
@@ -184,30 +178,30 @@ def _count_params(kind: str, args) -> dict:
     raise ParseError(f"unknown count kind {kind!r}")
 
 
-def _compute_count(kind: str, args, q: int, budget) -> int:
+def _compute_count(kind: str, obj, args, q: int, budget) -> int:
+    """One field order of the table; obj is the input _count_input loaded."""
     if kind == "XM":
-        return matroids.count_X(_load_matroid(args), s=args.s, q=q, budget=budget)
+        return matroids.count_X(obj, s=args.s, q=q, budget=budget)
     if kind == "L":
-        return incidence.count_L(args.s, _parse_partial(args.pi), q, budget=budget)
-    g = _load_graph(args)
+        return incidence.count_L(args.s, obj, q, budget=budget)
     if kind == "YG":
-        return counting.count_tree_complement(g, q, budget=budget)
+        return counting.count_tree_complement(obj, q, budget=budget)
     if kind == "XG":
-        return counting.count_tree_support(g, q, budget=budget)
+        return counting.count_tree_support(obj, q, budget=budget)
     if kind == "Z":
-        return counting.count_blocked_nondegenerate(g, q, budget=budget)
+        return counting.count_blocked_nondegenerate(obj, q, budget=budget)
     if kind == "Zo":
-        return counting.count_supported_nondegenerate(g, q, budget=budget)
+        return counting.count_supported_nondegenerate(obj, q, budget=budget)
     if kind == "Zrank":
-        return counting.count_blocked_rank(g, args.r, q, budget=budget)
+        return counting.count_blocked_rank(obj, args.r, q, budget=budget)
     if kind == "A":
-        return incidence.count_A(g, args.s, args.r, args.k, q, budget=budget)
+        return incidence.count_A(obj, args.s, args.r, args.k, q, budget=budget)
     if kind == "J":
-        return incidence.count_J(g, args.s, q, budget=budget)
+        return incidence.count_J(obj, args.s, q, budget=budget)
     if kind == "K":
-        return incidence.count_K(g, args.s, q, budget=budget)
+        return incidence.count_K(obj, args.s, q, budget=budget)
     if kind == "H":
-        return incidence.count_H(g, args.s, q, budget=budget)
+        return incidence.count_H(obj, args.s, q, budget=budget)
     raise ParseError(f"unknown count kind {kind!r}")
 
 
@@ -217,7 +211,7 @@ def _build_table(args, out_errors: list[str]) -> CountTable:
     reported and the remaining orders still run."""
     kind = args.kind
     qs = _parse_q_list(args.q)
-    input_text = _count_input_text(kind, args)
+    obj, input_text = _count_input(kind, args)
     params = _count_params(kind, args)
     cache = CountCache.open()
     counts = {}
@@ -227,7 +221,7 @@ def _build_table(args, out_errors: list[str]) -> CountTable:
             counts[q] = hit
             continue
         try:
-            val = _compute_count(kind, args, q, args.budget)
+            val = _compute_count(kind, obj, args, q, args.budget)
         except (BudgetExceeded, TooLarge) as exc:
             out_errors.append(f"q={q}: {exc}")
             continue
@@ -434,7 +428,10 @@ def cmd_counterexample(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The gm parser, built once per process: parse_args leaves it as it
+    was, and main dispatches by command name, not through the parser."""
     top = argparse.ArgumentParser(
         prog="gm",
         description="Point counts of spanning-tree hypersurfaces, symmetric-"
@@ -475,39 +472,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_poly = sub.add_parser("poly", help="symbolic polynomials + determinant check")
     common(p_poly)
-    p_poly.set_defaults(func=cmd_poly)
 
     p_count = sub.add_parser("count", help="point-count table")
     p_count.add_argument("--kind", required=True, choices=COUNT_KINDS)
     common(p_count, q_required=True)
-    p_count.set_defaults(func=cmd_count)
 
     p_verify = sub.add_parser("verify", help="check a counting identity")
     common(p_verify, q_required=True)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_fit = sub.add_parser("fit", help="fit an integer polynomial to counts")
     p_fit.add_argument("--kind", required=True, choices=COUNT_KINDS)
     common(p_fit, q_required=True)
-    p_fit.set_defaults(func=cmd_fit)
 
     p_ce = sub.add_parser(
         "counterexample", help="demonstrate the non-polynomial count table"
     )
     common(p_ce)
-    p_ce.set_defaults(func=cmd_counterexample)
 
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     stats.reset()
     try:
         if args.budget is not None and args.budget < 0:
             raise ParseError(f"--budget must be nonnegative, got {args.budget}")
-        code = args.func(args)
+        # looked up per call, so a cmd_* function replaced after import runs
+        code = globals()[f"cmd_{args.command}"](args)
     except (ParseError, BadParams, NotPrimePower, NotSimple) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

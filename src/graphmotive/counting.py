@@ -14,7 +14,7 @@ from itertools import combinations, product
 
 from .errors import BadArgs, BudgetExceeded, NotSimple, TooLarge
 from .ffield import FieldSpec, make_field, rank_from_index_rows
-from .graphs import Graph
+from .graphs import Graph, indices_from_mask
 from .polys import MultilinearPoly, spanning_tree_poly, tree_complement_poly
 
 DEFAULT_BUDGET = 10**8
@@ -74,13 +74,6 @@ def _const_index(field: FieldSpec, c: int) -> int:
 # zero counting for multilinear polynomials
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _index_terms(field: FieldSpec, terms) -> list[tuple[int, tuple[int, ...]]]:
     """(coefficient index, variables) per monomial, dropping the monomials
     whose coefficient vanishes in the field."""
@@ -88,7 +81,7 @@ def _index_terms(field: FieldSpec, terms) -> list[tuple[int, tuple[int, ...]]]:
     for mask, coeff in terms:
         cidx = _const_index(field, coeff)
         if cidx:
-            out.append((cidx, tuple(_bits(mask))))
+            out.append((cidx, tuple(indices_from_mask(mask))))
     return out
 
 

@@ -7,8 +7,8 @@ Loops and multiple edges are allowed except where a method says otherwise.
 
 Labeling conventions for the structural operators are fixed here once:
 apex_extension prepends the new vertex as index 0 (old vertices shift up by
-one, new edges come first); add_disjoint_vertex and insert_edge append the
-new vertex at the highest index (the new edge last).
+one, new edges come first); add_disjoint_vertex appends the new vertex at
+the highest index.
 """
 
 from __future__ import annotations
@@ -30,13 +30,12 @@ def mask_from_indices(indices) -> EdgeSubset:
 
 
 def indices_from_mask(mask: EdgeSubset) -> list[int]:
+    """Bit positions of the mask, lowest first."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -179,12 +178,6 @@ class Graph:
 
     def add_disjoint_vertex(self) -> "Graph":
         return Graph(self.n + 1, self.edges)
-
-    def insert_edge(self, v: int) -> "Graph":
-        """Append a new vertex joined to v by a single new edge."""
-        if not (0 <= v < self.n):
-            raise BadVertex(f"vertex {v} outside 0..{self.n - 1}")
-        return Graph(self.n + 1, self.edges + ((v, self.n),))
 
     def remove_vertex(self, v: int) -> "Graph":
         if not (0 <= v < self.n):

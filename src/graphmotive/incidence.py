@@ -26,7 +26,7 @@ from .counting import (
 )
 from .errors import BadParams, NotAForest, NotSimple
 from .ffield import make_field, rank_from_index_rows
-from .graphs import Graph
+from .graphs import Graph, indices_from_mask
 from .matroids import Matroid, PartialRank, count_X
 
 _F_CHUNK = 1 << 15
@@ -75,11 +75,9 @@ def _span_ok(vf, fmats, constraints):
     for the rows of f the mask selects."""
     import numpy as np
 
-    n = fmats.shape[1]
     ok = np.ones(fmats.shape[0], dtype=bool)
     for mask, need in constraints:
-        sel = [v for v in range(n) if mask >> v & 1]
-        ok &= vf.rank(fmats[:, sel, :]) == need
+        ok &= vf.rank(fmats[:, indices_from_mask(mask), :]) == need
     return ok
 
 
@@ -108,12 +106,7 @@ def _edge_ok(vf, fmats, Q, edges, q: int):
                 W[:, a] = acc
         transformed[v] = W
     for u, v in edges:
-        W = transformed[v]
-        val = None
-        for a in range(s):
-            t = vf.mul(fmats[:, u, a], W[:, a])
-            val = t if val is None else vf.add(val, t)
-        ok &= val == 0
+        ok &= vf.dot(fmats[:, u, :], transformed[v]) == 0
     return ok
 
 

@@ -14,6 +14,7 @@ from itertools import product
 from .counting import CountTable, DEFAULT_BUDGET, _tables, count_invertible, stats
 from .errors import BadParams, BudgetExceeded, ParseError, TooLarge
 from .ffield import FieldSpec, make_field, rank_from_index_rows
+from .graphs import indices_from_mask
 
 
 @dataclass(frozen=True)
@@ -106,9 +107,11 @@ class PartialRank:
 
 
 def validate_axioms(matroid: Matroid) -> bool:
-    """Full check of the rank axioms: normalization and cardinality bound,
-    monotonicity via single-element steps, and submodularity over every
-    pair of subsets."""
+    """Check of the rank axioms in their local form, equivalent to the usual
+    ones for integer functions (Oxley, Matroid Theory, section 1.3): the
+    empty set has rank 0, adding one element raises the rank by 0 or 1, and
+    if adding x and adding y each leave the rank of X unchanged, so does
+    adding both."""
     if matroid.m > 12:
         raise TooLarge(f"axiom validation capped at 12 elements, got {matroid.m}")
     r = matroid.ranks
@@ -116,16 +119,20 @@ def validate_axioms(matroid: Matroid) -> bool:
     if r[0] != 0:
         return False
     for x in range(1 << m):
-        if not 0 <= r[x] <= bin(x).count("1"):
-            return False
+        flat = []  # elements outside x that leave its rank unchanged
         for e in range(m):
             bit = 1 << e
-            if not x & bit and not r[x] <= r[x | bit] <= r[x] + 1:
+            if x & bit:
+                continue
+            step = r[x | bit] - r[x]
+            if step not in (0, 1):
                 return False
-    for x in range(1 << m):
-        for y in range(1 << m):
-            if r[x | y] + r[x & y] > r[x] + r[y]:
-                return False
+            if step == 0:
+                flat.append(bit)
+        for i, a in enumerate(flat):
+            for b in flat[i + 1 :]:
+                if r[x | a | b] != r[x]:
+                    return False
     return True
 
 
@@ -347,14 +354,14 @@ def count_X(
             return total
 
         spans = [
-            (_span_of(field, [assigned[x] for x in _elements(rep)]), inside)
+            (_span_of(field, [assigned[x] for x in indices_from_mask(rep)]), inside)
             for rep, inside in reps
         ]
         if gen is not None:
             gen_rows = [
                 row
                 for _, row in _span_of(
-                    field, [assigned[x] for x in _elements(gen)]
+                    field, [assigned[x] for x in indices_from_mask(gen)]
                 ).rows
             ]
         else:
@@ -385,13 +392,6 @@ def count_X(
     return count
 
 
-def _elements(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def count_X_oracle(
     matroid: Matroid, s: int | None = None, q: int = 2, budget: int | None = None
 ) -> int:
@@ -410,7 +410,7 @@ def count_X_oracle(
         # every subset containing element t; smaller subsets were checked
         for sub in range(1 << t):
             mask = sub | (1 << t)
-            rows = [vecs[x] for x in _elements(mask)]
+            rows = [vecs[x] for x in indices_from_mask(mask)]
             if _span_of(field, rows).dim != matroid.ranks[mask]:
                 return False
         return True
@@ -672,4 +672,7 @@ def matroid_from_text(text: str) -> Matroid:
         ranks = tuple(int(t) for t in body)
     except ValueError as exc:
         raise ParseError("rank entries must be integers") from exc
-    return Matroid(m, ranks)
+    matroid = Matroid(m, ranks)
+    if not validate_axioms(matroid):
+        raise ParseError("rank table violates the matroid rank axioms")
+    return matroid

@@ -1,10 +1,10 @@
-"""Exact bookkeeping for counts as functions of the field order q:
-integer polynomials, rational functions with monic denominators, Lagrange
-fitting of count tables, and a bounded membership test for the multiplicative
-set generated by the polynomials q^n - q.
+"""Exact bookkeeping for counts as functions of the field order q: integer
+polynomials and Lagrange fitting of count tables.
 
-Everything is exact integer / rational arithmetic; floating point never
-appears.
+A count table fits when the interpolant of its first points has integer
+coefficients and reproduces every remaining point; otherwise the fit says
+which of the two failed.  Everything is exact integer / rational
+arithmetic; floating point never appears.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import CountTable
-from .errors import BadParams, DivisionByZero, InsufficientPoints
+from .errors import BadParams, InsufficientPoints
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,6 @@ class IntPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def evaluate(self, x):
         acc = 0
@@ -73,14 +70,6 @@ class IntPoly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return IntPoly(tuple(out))
-
-    def content(self) -> int:
-        from math import gcd
-
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, abs(c))
-        return g
 
     def format(self, var: str = "q") -> str:
         if not self.coeffs:
@@ -116,154 +105,6 @@ class IntPoly:
     @staticmethod
     def variable() -> "IntPoly":
         return IntPoly((0, 1))
-
-
-def divmod_monic(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """Long division by a monic divisor; quotient and remainder stay in
-    integer coefficients exactly because the divisor is monic."""
-    if not den.is_monic():
-        raise BadParams(f"divisor must be monic, got {den.coeffs}")
-    rem = list(num.coeffs)
-    d = den.degree
-    quot = [0] * max(len(rem) - d, 0)
-    for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        quot[i - d] = c
-        for j, b in enumerate(den.coeffs):
-            rem[i - d + j] -= c * b
-    return IntPoly(tuple(quot)), IntPoly(tuple(rem[:d]) if d else ())
-
-
-# -- rational-coefficient helpers (internal) --------------------------------
-
-
-def _frac_divmod(num: list[Fraction], den: list[Fraction]):
-    den = list(den)
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
-        raise DivisionByZero("polynomial division by zero")
-    rem = list(num)
-    while rem and rem[-1] == 0:
-        rem.pop()
-    d = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(len(rem) - d, 0)
-    for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i] / lead
-        if c == 0:
-            continue
-        quot[i - d] = c
-        for j, b in enumerate(den):
-            rem[i - d + j] -= c * b
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
-
-
-def _monic_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    b = list(b)
-    while b and any(c != 0 for c in b):
-        _, r = _frac_divmod(a, b)
-        a, b = b, r
-    while a and a[-1] == 0:
-        a.pop()
-    if not a:
-        return []
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-@dataclass(frozen=True)
-class RationalFn:
-    """Quotient of integer polynomials in lowest terms with a monic
-    denominator; carries a tri-state verdict on whether the denominator
-    belongs to the multiplicative set."""
-
-    numerator: IntPoly
-    denominator: IntPoly
-    denominator_in_S: str = "unknown"
-
-    @staticmethod
-    def make(num: IntPoly, den: IntPoly) -> "RationalFn":
-        if den.is_zero():
-            raise DivisionByZero("rational function with zero denominator")
-        if not den.is_monic():
-            raise BadParams(
-                f"denominator must be monic in this representation, got {den.coeffs}"
-            )
-        fn = [Fraction(c) for c in num.coeffs]
-        fd = [Fraction(c) for c in den.coeffs]
-        g = _monic_gcd(fn if fn else fd, fd)
-        if len(g) > 1:
-            gi = IntPoly(tuple(int(c) for c in g))
-            assert all(c.denominator == 1 for c in g), "monic factor must be integral"
-            num, rn = divmod_monic(num, gi)
-            den, rd = divmod_monic(den, gi)
-            assert rn.is_zero() and rd.is_zero()
-        return RationalFn(num, den, in_S(den) if not den.is_zero() else "no")
-
-    @staticmethod
-    def from_poly(p: IntPoly) -> "RationalFn":
-        return RationalFn(p, IntPoly((1,)), "yes")
-
-
-def rational_add(a: RationalFn, b: RationalFn) -> RationalFn:
-    num = a.numerator * b.denominator + b.numerator * a.denominator
-    return RationalFn.make(num, a.denominator * b.denominator)
-
-
-def rational_mul(a: RationalFn, b: RationalFn) -> RationalFn:
-    return RationalFn.make(a.numerator * b.numerator, a.denominator * b.denominator)
-
-
-def rational_div(a: RationalFn, b: RationalFn) -> RationalFn:
-    if b.numerator.is_zero():
-        raise DivisionByZero("division by the zero rational function")
-    num = a.numerator * b.denominator
-    den = a.denominator * b.numerator
-    lead = den.coeffs[-1]
-    if lead < 0:
-        num, den = -num, -den
-        lead = -lead
-    if lead != 1:
-        # make the denominator monic over the rationals, then clear: only
-        # possible exactly when every coefficient divides out
-        fn = [Fraction(c, lead) for c in num.coeffs]
-        fd = [Fraction(c, lead) for c in den.coeffs]
-        g = _monic_gcd(fn if fn else fd, fd)
-        qn, rn = _frac_divmod(fn, g if len(g) > 1 else [Fraction(1)])
-        qd, rd = _frac_divmod(fd, g if len(g) > 1 else [Fraction(1)])
-        assert not rn and not rd
-        if any(c.denominator != 1 for c in qn + qd):
-            raise BadParams(
-                "quotient leaves the monic-denominator integer representation"
-            )
-        return RationalFn.make(
-            IntPoly(tuple(int(c) for c in qn)), IntPoly(tuple(int(c) for c in qd))
-        )
-    return RationalFn.make(num, den)
-
-
-def eval_at(f: RationalFn, q: int):
-    """Exact value; an int when the division is exact."""
-    den = f.denominator.evaluate(q)
-    if den == 0:
-        raise DivisionByZero(f"denominator vanishes at q={q}")
-    val = Fraction(f.numerator.evaluate(q), den)
-    return int(val) if val.denominator == 1 else val
-
-
-def rational_arith():
-    """The arithmetic bundle: add, mul, div, eval_at."""
-    from types import SimpleNamespace
-
-    return SimpleNamespace(
-        add=rational_add, mul=rational_mul, div=rational_div, eval_at=eval_at
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -340,85 +181,3 @@ def fit_polynomial(table: CountTable, max_deg: int):
                 ),
             )
     return poly
-
-
-@dataclass(frozen=True)
-class NotPolynomial:
-    """Division left a remainder: the function is not an integer
-    polynomial."""
-
-    quotient: IntPoly
-    remainder: IntPoly
-
-    def __bool__(self) -> bool:
-        return False
-
-
-def integrality_reduce(f: RationalFn):
-    """Divide numerator by the monic denominator; exact division certifies
-    the function as an integer polynomial, otherwise the remainder is
-    reported."""
-    quot, rem = divmod_monic(f.numerator, f.denominator)
-    if rem.is_zero():
-        return quot
-    return NotPolynomial(quotient=quot, remainder=rem)
-
-
-# ---------------------------------------------------------------------------
-# multiplicative-set membership (bounded)
-
-_S_POWER_BOUND = 8
-_S_MULT_BOUND = 4
-
-
-def in_S(
-    f: IntPoly,
-    power_bound: int = _S_POWER_BOUND,
-    mult_bound: int = _S_MULT_BOUND,
-) -> str:
-    """Tri-state membership in the saturated multiplicative set generated
-    by the polynomials q^n - q (n >= 2).
-
-    "yes": f divides (q^2-q)^B ... (q^bound - q)^B exactly in integer
-    polynomials.  "no": certified impossible — nonunit constant, nonunit
-    content, or an integer root outside {-1, 0, 1} (every generator only
-    vanishes at 0 and at roots of unity).  Otherwise "unknown".
-    """
-    if f.is_zero():
-        raise BadParams("the zero polynomial is not in any multiplicative set")
-    if f.degree == 0:
-        return "yes" if abs(f.coeffs[0]) == 1 else "no"
-    if f.content() != 1:
-        return "no"
-    # integer roots divide the lowest nonzero coefficient
-    low = next(c for c in f.coeffs if c != 0)
-    for r in _divisors(abs(low)):
-        for signed in (r, -r):
-            if signed in (-1, 0, 1):
-                continue
-            if f.evaluate(signed) == 0:
-                return "no"
-    product = IntPoly((1,))
-    for n in range(2, power_bound + 1):
-        gen = IntPoly(tuple([0, -1] + [0] * (n - 2) + [1]))
-        for _ in range(mult_bound):
-            product = product * gen
-    fn = [Fraction(c) for c in product.coeffs]
-    fd = [Fraction(c) for c in f.coeffs]
-    _, rem = _frac_divmod(fn, fd)
-    if not rem:
-        return "yes"
-    return "unknown"
-
-
-def _divisors(n: int):
-    if n == 0:
-        return []
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)

@@ -169,26 +169,6 @@ def evaluate(
     return total
 
 
-def evaluate_int(poly: MultilinearPoly, point: list[int]) -> int:
-    """Plain integer evaluation (used for tree-count cross-checks)."""
-    if len(point) != poly.nvars:
-        raise LengthMismatch(
-            f"point has {len(point)} coordinates, polynomial has {poly.nvars}"
-        )
-    total = 0
-    for mask, coeff in poly.terms.items():
-        term = coeff
-        i = 0
-        m = mask
-        while m:
-            if m & 1:
-                term *= point[i]
-            m >>= 1
-            i += 1
-        total += term
-    return total
-
-
 # -- graph polynomials -------------------------------------------------------
 
 

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from graphmotive import counting, graphs, incidence, matroids
+from graphmotive import cli, counting, graphs, incidence, matroids
 from graphmotive.cli import main
 from graphmotive.matroids import PartialRank
 
@@ -373,6 +373,13 @@ def test_fit_with_too_few_points_fails_cleanly(capsys):
 def test_usage_errors_exit_two(tmp_path, capsys):
     not_utf8 = tmp_path / "latin1.txt"
     not_utf8.write_bytes(b"\xff\xfe 2 1\n0 1\n")
+    # rank tables that are not matroids: over the cardinality bound, a
+    # jump of two, a drop
+    not_matroids = []
+    for i, text in enumerate(["2\n0 1 1 5\n", "3\n0 1 1 1 1 1 1 3\n", "3\n0 1 1 2 1 2 2 1\n"]):
+        path = tmp_path / f"not_matroid_{i}.txt"
+        path.write_text(text)
+        not_matroids.append(str(path))
     bad_invocations = [
         ["count", "--kind", "YG", "--graph", str(tmp_path), "--q", "2"],
         ["count", "--kind", "YG", "--graph", str(not_utf8), "--q", "2"],
@@ -400,6 +407,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         # negative rank
         ["count", "--kind", "H", "--name", "P3", "--s", "-2", "--q", "2"],
         ["count", "--kind", "Zrank", "--name", "P3", "--r", "-1", "--q", "2"],
+        *(["count", "--kind", "XM", "--matroid", path, "--q", "2"] for path in not_matroids),
+        ["verify", "--identity", "grassmann-factor", "--matroid", not_matroids[0], "--s", "6", "--q", "2"],
     ]
     for argv in bad_invocations:
         code = main(argv)
@@ -416,6 +425,17 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         main(["count", "--kind", "BOGUS", "--name", "C3", "--q", "2"])
     capsys.readouterr()
     assert info.value.code == 2
+
+
+def test_dispatch_sees_a_command_replaced_after_the_first_call(monkeypatch, capsys):
+    # the parser is built once; the command function is looked up per call
+    assert main(["count", "--kind", "YG", "--name", "C3", "--q", "2"]) == 0
+    capsys.readouterr()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_count", lambda args: seen.append(args.kind) or 0)
+    assert main(["count", "--kind", "XG", "--name", "C3", "--q", "2"]) == 0
+    assert seen == ["XG"]
+    assert capsys.readouterr().out == ""
 
 
 def test_cache_round_trip_skips_recomputation(capsys):

@@ -153,9 +153,6 @@ def test_structural_operators():
     iso = g.add_disjoint_vertex()
     assert iso.n == 4 and iso.edges == g.edges
 
-    hung = g.insert_edge(1)
-    assert hung.n == 4 and hung.edges[-1] == (1, 3)
-
     assert complete(3).complement().key() == discrete(3).key()
     assert discrete(3).complement().key() == complete(3).key()
     with pytest.raises(NotSimple):

@@ -71,6 +71,45 @@ def test_axioms_accept_real_matroids_and_reject_fakes():
         validate_axioms(uniform(1, 13))
 
 
+def _rank_axioms_oracle(m: int, r) -> bool:
+    """The rank axioms as usually stated, over every pair of subsets."""
+    if r[0] != 0:
+        return False
+    subsets = range(1 << m)
+    return all(0 <= r[x] <= bin(x).count("1") for x in subsets) and all(
+        (x & y != x or r[x] <= r[y]) and r[x | y] + r[x & y] <= r[x] + r[y]
+        for x in subsets
+        for y in subsets
+    )
+
+
+def test_local_axioms_agree_with_the_definition():
+    # every table with entries 0..3 on at most two elements
+    for m in range(3):
+        for r in itertools.product(range(4), repeat=1 << m):
+            assert validate_axioms(Matroid(m, r)) == _rank_axioms_oracle(m, r), r
+    # every table within the cardinality bound on three elements
+    bounds = [range(bin(x).count("1") + 1) for x in range(8)]
+    for r in itertools.product(*bounds):
+        assert validate_axioms(Matroid(3, r)) == _rank_axioms_oracle(3, r), r
+    # one entry of a four-element matroid moved by one, either way
+    f2 = make_field(2)
+    bases = [uniform(k, 4) for k in range(5)] + [
+        vector_matroid(f2, [[1, 0], [0, 1], [1, 1], [1, 0]]),
+        vector_matroid(f2, [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 0]]),
+    ]
+    for base in bases:
+        assert validate_axioms(base)
+        for x in range(16):
+            for delta in (-1, 1):
+                r = list(base.ranks)
+                r[x] += delta
+                if r[x] < 0:
+                    continue
+                r = tuple(r)
+                assert validate_axioms(Matroid(4, r)) == _rank_axioms_oracle(4, r), r
+
+
 def test_uniform_ranks():
     m = uniform(2, 4)
     for mask in range(16):

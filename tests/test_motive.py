@@ -1,29 +1,17 @@
-"""Integer polynomials, exact fitting, rational functions with monic
-denominators, and bounded membership in the multiplicative set generated
-by the q^n - q family."""
+"""Integer polynomials and exact fitting of count tables."""
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import pytest
 
 from graphmotive import (
     BadParams,
     CountTable,
-    DivisionByZero,
     InsufficientPoints,
     IntPoly,
     NoFit,
-    NotPolynomial,
-    RationalFn,
-    eval_at,
     fit_polynomial,
-    in_S,
-    integrality_reduce,
-    rational_arith,
 )
-from graphmotive.motive import divmod_monic, rational_add, rational_div, rational_mul
 
 Q = IntPoly.variable()
 ONE = IntPoly.constant(1)
@@ -52,10 +40,6 @@ def test_intpoly_arithmetic_against_evaluation():
         assert (a - b).evaluate(x) == a.evaluate(x) - b.evaluate(x)
         assert (a * b).evaluate(x) == a.evaluate(x) * b.evaluate(x)
         assert (-a).evaluate(x) == -a.evaluate(x)
-    assert a.content() == 1
-    assert ((b * IntPoly.constant(6))).content() == 6
-    assert IntPoly(()).content() == 0
-    assert b.is_monic() and not (b * TWO).is_monic() and not IntPoly(()).is_monic()
 
 
 def test_intpoly_format():
@@ -70,95 +54,6 @@ def test_intpoly_format():
 def test_intpoly_json_round_trip():
     for p in [IntPoly(()), ONE, Q * Q - IntPoly.constant(3) * Q + ONE]:
         assert IntPoly.from_json(p.to_json()) == p
-
-
-def test_divmod_monic():
-    num = Q * Q * Q - ONE
-    den = Q - ONE
-    quot, rem = divmod_monic(num, den)
-    assert quot == Q * Q + Q + ONE and rem.is_zero()
-    quot, rem = divmod_monic(Q * Q + ONE, Q - ONE)
-    assert quot == Q + ONE and rem == IntPoly.constant(2)
-    # degree shortfall: quotient zero, remainder the numerator
-    quot, rem = divmod_monic(ONE, Q - ONE)
-    assert quot.is_zero() and rem == ONE
-    with pytest.raises(BadParams):
-        divmod_monic(Q, TWO * Q)
-    with pytest.raises(BadParams):
-        divmod_monic(Q, IntPoly(()))
-
-
-def test_rational_make_cancels_and_classifies():
-    f = RationalFn.make(Q * Q - Q, Q - ONE)
-    assert f.numerator == Q and f.denominator == ONE
-    assert f.denominator_in_S == "yes"
-    g = RationalFn.make(ONE, Q - IntPoly.constant(2))
-    assert g.denominator_in_S == "no"
-    h = RationalFn.make(ONE, Q * Q * Q * Q + ONE)
-    assert h.denominator_in_S == "unknown"
-    assert RationalFn.from_poly(Q).denominator == ONE
-    with pytest.raises(DivisionByZero):
-        RationalFn.make(Q, IntPoly(()))
-    with pytest.raises(BadParams):
-        RationalFn.make(Q, TWO * Q)
-
-
-def test_rational_add_mul():
-    a = RationalFn.make(ONE, Q - ONE)
-    b = RationalFn.make(ONE, Q + ONE)
-    s = rational_add(a, b)
-    assert s.numerator == TWO * Q
-    assert s.denominator == Q * Q - ONE
-    assert s.denominator_in_S == "yes"  # (q-1)(q+1) divides q^3 - q
-    p = rational_mul(s, RationalFn.make(Q + ONE, ONE))
-    assert p.numerator == TWO * Q and p.denominator == Q - ONE
-    # values agree with exact rational evaluation
-    for q in (2, 3, 4, 10):
-        assert eval_at(s, q) == Fraction(1, q - 1) + Fraction(1, q + 1)
-
-
-def test_rational_div_normalizations():
-    # dividing by a negative-leading polynomial flips both signs
-    f = rational_div(RationalFn.from_poly(Q * Q - ONE), RationalFn.from_poly(-Q - ONE))
-    assert f.numerator == ONE - Q and f.denominator == ONE
-    # a constant non-unit leading coefficient divides out when it can
-    g = rational_div(
-        RationalFn.from_poly(TWO * (Q * Q + Q)), RationalFn.from_poly(IntPoly.constant(2))
-    )
-    assert g.numerator == Q * Q + Q and g.denominator == ONE
-    # and is rejected when the result would leave integer coefficients
-    with pytest.raises(BadParams):
-        rational_div(
-            RationalFn.from_poly(Q * Q - ONE),
-            RationalFn.from_poly(TWO * Q + TWO),
-        )
-    with pytest.raises(DivisionByZero):
-        rational_div(RationalFn.from_poly(Q), RationalFn.from_poly(IntPoly(())))
-    # exact division of the q^2 - q family stays in integer polynomials
-    h = rational_div(
-        RationalFn.from_poly(Q * Q * Q - Q), RationalFn.from_poly(Q * Q - Q)
-    )
-    assert h.numerator == Q + ONE and h.denominator == ONE
-
-
-def test_eval_at():
-    f = RationalFn.make(Q + ONE, Q - IntPoly.constant(3))
-    assert eval_at(f, 5) == 3
-    assert eval_at(f, 4) == 5
-    assert eval_at(f, 2) == Fraction(3, -1)
-    assert eval_at(RationalFn.from_poly(Q * Q), 7) == 49
-    with pytest.raises(DivisionByZero):
-        eval_at(f, 3)
-
-
-def test_rational_arith_bundle():
-    ops = rational_arith()
-    a = RationalFn.from_poly(Q)
-    b = RationalFn.make(ONE, Q - ONE)
-    assert ops.add(a, b) == rational_add(a, b)
-    assert ops.mul(a, b) == rational_mul(a, b)
-    assert ops.div(a, b) == rational_div(a, b)
-    assert ops.eval_at(b, 3) == Fraction(1, 2)
 
 
 def test_fit_recovers_polynomial_counts():
@@ -189,48 +84,6 @@ def test_fit_failure_modes():
         fit_polynomial(CountTable("tiny", {2: 1, 3: 2}), 1)
     with pytest.raises(BadParams):
         fit_polynomial(bad, -1)
-
-
-def test_integrality_reduce():
-    exact = integrality_reduce(RationalFn(Q * Q * Q - Q, Q - ONE, "yes"))
-    assert exact == Q * Q + Q
-    stuck = integrality_reduce(RationalFn(Q * Q + ONE, Q - ONE, "yes"))
-    assert isinstance(stuck, NotPolynomial) and not stuck
-    assert stuck.quotient == Q + ONE
-    assert stuck.remainder == IntPoly.constant(2)
-
-
-def test_in_S_verdicts():
-    yes = [
-        Q,
-        Q - ONE,
-        Q + ONE,
-        Q * Q - Q,
-        Q * Q + Q + ONE,  # divides q^4 - q
-        ONE,
-        IntPoly.constant(-1),
-        (Q - ONE) * (Q - ONE) * (Q - ONE) * (Q - ONE) * (Q - ONE),
-    ]
-    for p in yes:
-        assert in_S(p) == "yes", p.format()
-    no = [
-        Q - IntPoly.constant(2),   # vanishes at the integer 2
-        TWO * Q,                # content 2 is invisible to the generators
-        IntPoly.constant(2),
-    ]
-    for p in no:
-        assert in_S(p) == "no", p.format()
-    unknown = [
-        Q * Q + Q - ONE,           # golden-ratio roots: never a root of unity
-        Q * Q * Q * Q + ONE,       # eighth roots of unity: beyond the bound
-    ]
-    for p in unknown:
-        assert in_S(p) == "unknown", p.format()
-    # tightening the bounds demotes a genuine member to unknown
-    fifth = (Q - ONE) * (Q - ONE) * (Q - ONE) * (Q - ONE) * (Q - ONE)
-    assert in_S(fifth, power_bound=2, mult_bound=1) == "unknown"
-    with pytest.raises(BadParams):
-        in_S(IntPoly(()))
 
 
 def test_count_table_json_round_trip():

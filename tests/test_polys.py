@@ -25,7 +25,7 @@ from graphmotive import (
     symbolic_det,
     tree_complement_poly,
 )
-from graphmotive.polys import evaluate, evaluate_int, laplacian
+from graphmotive.polys import evaluate, laplacian
 
 
 def test_ring_basics():
@@ -81,9 +81,6 @@ def test_evaluation_against_term_by_term_oracle():
             assert got == total
     with pytest.raises(LengthMismatch):
         evaluate(poly, make_field(2), [make_field(2).zero])
-    with pytest.raises(LengthMismatch):
-        evaluate_int(poly, [1])
-    assert evaluate_int(poly, [1, 1, 1]) == 2
 
 
 def spanning_tree_masks(g):
