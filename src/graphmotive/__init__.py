@@ -23,7 +23,6 @@ from .errors import (
 from .ffield import (
     FieldElem,
     FieldSpec,
-    enumerate_elements,
     make_field,
     matrix_rank_minors,
     rank_from_index_rows,

@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     TooLarge,
 )
-from .ffield import _prime_power
+from .ffield import TABLE_LIMIT, _prime_power, make_field
 from .matroids import PartialRank
 from .motive import IntPoly, NoFit, fit_polynomial
 
@@ -63,9 +63,10 @@ def _parse_q_list(text: str) -> list[int]:
             q = int(part)
         except ValueError as exc:
             raise ParseError(f"bad field order {part!r}") from exc
-        # a prime power only: building the field here would stop the whole
-        # run at an order too large to tabulate, instead of that order alone
-        _prime_power(q)
+        # only orders that can have a field are factored: one above 256,
+        # prime power or not, fails alone when its row builds the field
+        if q <= TABLE_LIMIT:
+            _prime_power(q)
         out.append(q)
     if not out:
         raise ParseError("empty field-order list")
@@ -216,17 +217,16 @@ def _build_table(args, out_errors: list[str]) -> CountTable:
     cache = CountCache.open()
     counts = {}
     for q in qs:
-        hit = cache.get(kind, input_text, params, q)
-        if hit is not None:
-            counts[q] = hit
-            continue
         try:
-            val = _compute_count(kind, obj, args, q, args.budget)
+            make_field(q)  # an order above 256 has no field: this row fails
+            val = cache.get(kind, input_text, params, q)
+            if val is None:
+                val = _compute_count(kind, obj, args, q, args.budget)
+                cache.put(kind, input_text, params, q, val)
         except (BudgetExceeded, TooLarge) as exc:
             out_errors.append(f"q={q}: {exc}")
             continue
         counts[q] = val
-        cache.put(kind, input_text, params, q, val)
     label = f"{kind}:" + ",".join(f"{k}={v}" for k, v in sorted(params.items()))
     return CountTable(label=label, counts=counts)
 
@@ -328,6 +328,7 @@ def cmd_verify(args) -> int:
     rows = []
     for q in qs:
         try:
+            make_field(q)  # an order above 256 has no field: this row fails
             if name in BOOL_IDENTITIES:
                 ok = check(g, q, budget=args.budget)
                 row = {"q": q, "ok": ok}

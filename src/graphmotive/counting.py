@@ -57,14 +57,6 @@ def _require_budget(required: int, budget: int | None, what: str) -> None:
         raise BudgetExceeded(required, limit, what)
 
 
-def _tables(field: FieldSpec):
-    if field.add_table is None:
-        raise TooLarge(
-            f"enumeration needs tabled field arithmetic, q={field.q} is too big"
-        )
-    return field.add_table, field.mul_table
-
-
 def _const_index(field: FieldSpec, c: int) -> int:
     """Index of the image of the integer c in the field."""
     return field.index(field.element_from_int(c))
@@ -164,13 +156,21 @@ def count_zeros(poly: MultilinearPoly, q: int, budget: int | None = None) -> int
 # graph hypersurface counts
 
 
+def _hypersurface_complement(g: Graph, q: int, poly, budget: int | None) -> int:
+    """Points of F_q^E off the zero locus of poly(g).  The scan's budget is
+    checked before poly(g) is built: enumerating the spanning trees of a
+    dense graph costs more than the refusal."""
+    _require_budget(q**g.m, budget, "polynomial zero scan")
+    return q**g.m - count_zeros(poly(g), q, budget=budget)
+
+
 def count_tree_complement(g: Graph, q: int, budget: int | None = None) -> int:
     """Points of F_q^E avoiding the zero locus of the tree-complement
     polynomial (the sum over spanning trees of the product of the
     off-tree variables)."""
     return _memoized(
         ("Y", g.key(), q),
-        lambda: q**g.m - count_zeros(tree_complement_poly(g), q, budget=budget),
+        lambda: _hypersurface_complement(g, q, tree_complement_poly, budget),
     )
 
 
@@ -180,7 +180,7 @@ def count_tree_support(g: Graph, q: int, budget: int | None = None) -> int:
     on-tree variables)."""
     return _memoized(
         ("X", g.key(), q),
-        lambda: q**g.m - count_zeros(spanning_tree_poly(g), q, budget=budget),
+        lambda: _hypersurface_complement(g, q, spanning_tree_poly, budget),
     )
 
 
@@ -462,6 +462,8 @@ def _count_pattern_rank(
         return 0
     d, mapped = _head_tail_order(n, zero_pairs)
     if d == n:
+        # the corner scan holds back two diagonal cells, so n >= 2; above
+        # n = 4 it has not been timed against the rank census
         if target == n and 2 <= n <= 4:
             return _count_full_rank_corner(n, q, mapped, budget)
         counts = _census_pattern(n, q, mapped, budget, rank_cap=target)

@@ -4,8 +4,9 @@ Elements are coefficient vectors over F_p in a fixed polynomial basis.  The
 modulus is chosen deterministically (the lexicographically least monic
 irreducible of degree n, coefficients compared low-degree-first), so the same
 q always yields the same element order and the same multiplication table.
-For q <= 256 all four operation tables are precomputed; counting loops work
-on element indices and never touch FieldElem objects.
+Fields exist only for q <= 256, as their four operation tables: every count
+is an exhaustive scan over element indices, and every element operation is
+one table lookup.
 """
 
 from __future__ import annotations
@@ -16,14 +17,12 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 from .errors import (
-    BadParams,
     DivisionByZero,
     LengthMismatch,
     NotPrimePower,
     TooLarge,
 )
 
-MAX_ORDER = 1 << 16
 TABLE_LIMIT = 256
 
 
@@ -123,8 +122,8 @@ class FieldSpec:
     """A concrete F_q with fixed basis, element order and operation tables."""
 
     def __init__(self, q: int):
-        if q > MAX_ORDER:
-            raise TooLarge(f"field order {q} exceeds {MAX_ORDER}")
+        if q > TABLE_LIMIT:
+            raise TooLarge(f"field order {q} exceeds {TABLE_LIMIT}")
         p, n = _prime_power(q)
         self.q = q
         self.p = p
@@ -139,13 +138,7 @@ class FieldSpec:
         self._index = {e.coeffs: i for i, e in enumerate(self.elements)}
         self.zero = self.elements[0]
         self.one = self.element_from_int(1)
-        if q <= TABLE_LIMIT:
-            self._build_tables()
-        else:
-            self.add_table = None
-            self.mul_table = None
-            self.neg_table = None
-            self.inv_table = None
+        self._build_tables()
         self._np = None
 
     # -- construction of the index tables ------------------------------
@@ -166,13 +159,9 @@ class FieldSpec:
                 prod = _pmod(_pmul(_ptrim(ac), _ptrim(bc), p), self.modulus, p)
                 prod = prod + (0,) * (n - len(prod))
                 mul[i][j] = mul[j][i] = self._index[prod]
-        inv: list[int | None] = [None] * q
+        inv = [0] * q  # zero has no inverse; its entry is 0, as in np_tables
         for i in range(1, q):
-            for j in range(1, q):
-                if mul[i][j] == 1:
-                    inv[i] = j
-                    break
-            assert inv[i] is not None, "non-invertible nonzero element"
+            inv[i] = mul[i].index(1)
         self.add_table = add
         self.mul_table = mul
         self.neg_table = neg
@@ -201,16 +190,11 @@ class FieldSpec:
     def add(self, a: FieldElem, b: FieldElem) -> FieldElem:
         self._check(a)
         self._check(b)
-        if self.add_table is not None:
-            return self.elements[self.add_table[self.index(a)][self.index(b)]]
-        p = self.p
-        return FieldElem(tuple((x + y) % p for x, y in zip(a.coeffs, b.coeffs)))
+        return self.elements[self.add_table[self.index(a)][self.index(b)]]
 
     def neg(self, a: FieldElem) -> FieldElem:
         self._check(a)
-        if self.neg_table is not None:
-            return self.elements[self.neg_table[self.index(a)]]
-        return FieldElem(tuple((-x) % self.p for x in a.coeffs))
+        return self.elements[self.neg_table[self.index(a)]]
 
     def sub(self, a: FieldElem, b: FieldElem) -> FieldElem:
         return self.add(a, self.neg(b))
@@ -218,67 +202,30 @@ class FieldSpec:
     def mul(self, a: FieldElem, b: FieldElem) -> FieldElem:
         self._check(a)
         self._check(b)
-        if self.mul_table is not None:
-            return self.elements[self.mul_table[self.index(a)][self.index(b)]]
-        prod = _pmod(
-            _pmul(_ptrim(a.coeffs), _ptrim(b.coeffs), self.p), self.modulus, self.p
-        )
-        return FieldElem(prod + (0,) * (self.n - len(prod)))
+        return self.elements[self.mul_table[self.index(a)][self.index(b)]]
 
     def inv(self, a: FieldElem) -> FieldElem:
         self._check(a)
         if a == self.zero:
             raise DivisionByZero("inverse of zero")
-        if self.inv_table is not None:
-            j = self.inv_table[self.index(a)]
-            assert j is not None
-            return self.elements[j]
-        # q > TABLE_LIMIT: inverse by Fermat, a^(q-2)
-        acc = self.one
-        base = a
-        e = self.q - 2
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
+        return self.elements[self.inv_table[self.index(a)]]
 
     def div(self, a: FieldElem, b: FieldElem) -> FieldElem:
         return self.mul(a, self.inv(b))
-
-    # -- index-level helpers for table-driven callers --------------------
-
-    def neg_index(self, i: int) -> int:
-        if self.neg_table is None:
-            return self.index(self.neg(self.element(i)))
-        return self.neg_table[i]
-
-    def inv_index(self, i: int) -> int:
-        if i == 0:
-            raise DivisionByZero("inverse of zero")
-        if self.inv_table is None:
-            return self.index(self.inv(self.element(i)))
-        j = self.inv_table[i]
-        assert j is not None
-        return j
 
     # -- numpy views of the tables --------------------------------------
 
     @property
     def np_tables(self):
-        """(add, mul, neg, inv, flat_add, flat_mul) as uint8/uint16 arrays;
+        """(add, mul, neg, inv, flat_add, flat_mul) as uint8 arrays;
         inv maps zero to zero."""
         if self._np is None:
-            if self.add_table is None:
-                raise TooLarge("numpy tables only built for q <= 256")
             import numpy as np
 
-            dt = np.uint8 if self.q <= 256 else np.uint16
-            add = np.array(self.add_table, dtype=dt)
-            mul = np.array(self.mul_table, dtype=dt)
-            neg = np.array(self.neg_table, dtype=dt)
-            inv = np.array([0] + self.inv_table[1:], dtype=dt)
+            add = np.array(self.add_table, dtype=np.uint8)
+            mul = np.array(self.mul_table, dtype=np.uint8)
+            neg = np.array(self.neg_table, dtype=np.uint8)
+            inv = np.array(self.inv_table, dtype=np.uint8)
             self._np = SimpleNamespace(
                 add=add,
                 mul=mul,
@@ -299,11 +246,6 @@ def make_field(q: int) -> FieldSpec:
     return FieldSpec(q)
 
 
-def enumerate_elements(field: FieldSpec) -> tuple[FieldElem, ...]:
-    """All q elements in the fixed deterministic order, zero first."""
-    return field.elements
-
-
 # -- matrices ----------------------------------------------------------------
 
 
@@ -317,7 +259,6 @@ def rank_from_index_rows(field: FieldSpec, rows: list[list[int]]) -> int:
     add = field.add_table
     neg = field.neg_table
     inv = field.inv_table
-    assert mul is not None and inv is not None
     rank = 0
     for c in range(cols):
         pivot = None
@@ -330,7 +271,6 @@ def rank_from_index_rows(field: FieldSpec, rows: list[list[int]]) -> int:
         work[rank], work[pivot] = work[pivot], work[rank]
         prow = work[rank]
         pinv = inv[prow[c]]
-        assert pinv is not None
         for r in range(rank + 1, len(work)):
             head = work[r][c]
             if head:

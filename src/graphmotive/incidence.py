@@ -35,7 +35,7 @@ _F_CHUNK = 1 << 15
 # symmetric forms grouped by rank
 
 
-def _sym_by_rank(s: int, q: int):
+def _sym_by_rank(s: int, q: int, budget: int | None = None):
     """All symmetric s x s index matrices over F_q grouped by rank, as
     {rank: uint8 array of shape (count, s, s)}."""
 
@@ -45,6 +45,7 @@ def _sym_by_rank(s: int, q: int):
         from .vecops import VecField
 
         cells = [(i, j) for i in range(s) for j in range(i, s)]
+        _require_budget(q ** len(cells), budget, "symmetric form census")
         stats.add(q ** len(cells))
         mats = np.concatenate(list(_symmetric_batches(s, q, cells)))
         ranks = VecField(make_field(q)).rank(mats)
@@ -53,7 +54,7 @@ def _sym_by_rank(s: int, q: int):
     return _memoized(("sym", s, q), compute)
 
 
-def _forms(s: int, q: int, r: int):
+def _forms(s: int, q: int, r: int, budget: int | None):
     """Symmetric s x s forms of rank r.  Rank 0 is the zero form alone, so it
     needs no census of every form: span-only counts stay as cheap as their
     map scan."""
@@ -61,7 +62,7 @@ def _forms(s: int, q: int, r: int):
         import numpy as np
 
         return np.zeros((1, s, s), dtype=np.uint8)
-    return _sym_by_rank(s, q)[r]
+    return _sym_by_rank(s, q, budget)[r]
 
 
 def _edge_set(g: Graph) -> list[tuple[int, int]]:
@@ -130,7 +131,7 @@ def _pairs(g: Graph, s: int, q: int, ranks, budget: int | None):
     _require_budget(pairs, budget, "incidence scan")
     stats.add(pairs)
     vf = VecField(make_field(q))
-    forms = [(r, _forms(s, q, r)) for r in ranks]
+    forms = [(r, _forms(s, q, r, budget)) for r in ranks]
     for start in range(0, nf, _F_CHUNK):
         stop = min(start + _F_CHUNK, nf)
         fmats = decode_assignments(start, stop, n * s, q).reshape(stop - start, n, s)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .counting import CountTable, DEFAULT_BUDGET, _tables, count_invertible, stats
+from .counting import CountTable, DEFAULT_BUDGET, count_invertible, stats
 from .errors import BadParams, BudgetExceeded, ParseError, TooLarge
 from .ffield import FieldSpec, make_field, rank_from_index_rows
 from .graphs import indices_from_mask
@@ -186,14 +186,14 @@ class Span:
         f = self._f
         mul = f.mul_table
         add = f.add_table
+        neg = f.neg_table
         v = list(v)
         for piv, row in self.rows:
             c = v[piv]
             if c == 0:
                 continue
             for i in range(piv, len(v)):
-                prod = mul[c][row[i]]
-                v[i] = add[v[i]][f.neg_index(prod)]
+                v[i] = add[v[i]][neg[mul[c][row[i]]]]
         return v
 
     def contains(self, v: list[int]) -> bool:
@@ -204,9 +204,8 @@ class Span:
         res = self.residual(v)
         for piv, c in enumerate(res):
             if c != 0:
-                inv = self._f.inv_index(c)
-                mul = self._f.mul_table
-                row = [mul[inv][x] for x in res]
+                mul = self._f.mul_table[self._f.inv_table[c]]
+                row = [mul[x] for x in res]
                 self.rows.append((piv, row))
                 self.rows.sort(key=lambda t: t[0])
                 return True
@@ -321,7 +320,6 @@ def count_X(
     if matroid.m == 0:
         return 1
     field = make_field(q)
-    _tables(field)  # the search runs on the index tables: q <= 256
     limit = DEFAULT_BUDGET if budget is None else budget
 
     pinned = s == matroid.rank
@@ -479,12 +477,10 @@ def von_staudt_check(field: FieldSpec) -> VonStaudtReport:
         raise TooLarge(f"gadget check capped at q = 9, got {field.q}")
     add = field.add_table
     mul = field.mul_table
-
-    def neg(i: int) -> int:
-        return field.neg_index(i)
+    neg = field.neg_table
 
     def sub(a: int, b: int) -> int:
-        return add[a][neg(b)]
+        return add[a][neg[b]]
 
     def cross(a, b):
         return (
@@ -498,8 +494,8 @@ def von_staudt_check(field: FieldSpec) -> VonStaudtReport:
         # (x, 0, 1) then compare literally against embed()
         for c in reversed(p):
             if c != 0:
-                inv = field.inv_index(c)
-                return tuple(mul[inv][x] for x in p)
+                scale = mul[field.inv_table[c]]
+                return tuple(scale[x] for x in p)
         return None
 
     one = field.index(field.one)
@@ -605,8 +601,8 @@ def von_staudt_check(field: FieldSpec) -> VonStaudtReport:
     pairs = 0
     for x in range(field.q):
         got = run_neg(x)
-        if got is not None and got != embed(neg(x)):
-            failures.append((("neg", x), got, embed(neg(x))))
+        if got is not None and got != embed(neg[x]):
+            failures.append((("neg", x), got, embed(neg[x])))
         for xp in range(field.q):
             pairs += 1
             got = run_add(x, xp)

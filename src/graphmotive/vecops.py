@@ -2,17 +2,16 @@
 
 Every element of F_q is its index in the field's fixed enumeration; addition
 and multiplication become flat-table lookups, so whole assignment spaces can
-be processed as uint8 arrays.  Only fields with q <= 256 get here (larger
-orders are over every enumeration budget anyway).
+be processed as uint8 arrays (every field has q <= 256).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 
-from .errors import BadParams
 from .ffield import FieldSpec
 
 
@@ -44,64 +43,37 @@ class VecField:
             acc = self.add(acc, self.mul(u[..., k], v[..., k]))
         return acc
 
-    # -- determinants and ranks (tiny fixed sizes) -----------------------
+    # -- determinants and ranks ------------------------------------------
 
     def det(self, mats: np.ndarray) -> np.ndarray:
-        """Determinant of (N, n, n) index matrices, n <= 4."""
+        """Determinant of (N, n, n) index matrices, by Laplace expansion down
+        the rows, memoized on column sets as in polys.symbolic_det: the minor
+        on the last k rows and a k-column set expands along its top row into
+        minors on the last k - 1 rows."""
         n = mats.shape[-1]
         if n == 0:
-            one = 1  # index of the unit element is always 1 for q >= 2
-            return np.full(mats.shape[0], one, dtype=mats.dtype)
-        if n == 1:
-            return mats[:, 0, 0]
-        if n == 2:
-            ad = self.mul(mats[:, 0, 0], mats[:, 1, 1])
-            bc = self.mul(mats[:, 0, 1], mats[:, 1, 0])
-            return self.add(ad, self.neg(bc))
-        if n == 3:
-            total = None
-            for perm in itertools.permutations(range(3)):
-                term = self.mul(
-                    self.mul(mats[:, 0, perm[0]], mats[:, 1, perm[1]]),
-                    mats[:, 2, perm[2]],
-                )
-                if _parity(perm):
-                    term = self.neg(term)
-                total = term if total is None else self.add(total, term)
-            return total
-        if n == 4:
-            # Laplace expansion along the first two rows: six 2x2 minors
-            # against their complementary minors, signed by (-1)^(1+i+j)
-            def m2(r0, r1, c0, c1):
-                return self.sub(
-                    self.mul(mats[:, r0, c0], mats[:, r1, c1]),
-                    self.mul(mats[:, r0, c1], mats[:, r1, c0]),
-                )
-
-            comp = {
-                (0, 1): (2, 3),
-                (0, 2): (1, 3),
-                (0, 3): (1, 2),
-                (1, 2): (0, 3),
-                (1, 3): (0, 2),
-                (2, 3): (0, 1),
-            }
-            total = None
-            for (i, j), (ci, cj) in comp.items():
-                term = self.mul(m2(0, 1, i, j), m2(2, 3, ci, cj))
-                if (1 + i + j) % 2:
-                    term = self.neg(term)
-                total = term if total is None else self.add(total, term)
-            return total
-        raise BadParams(f"vectorized determinant capped at 4x4, got {n}")
+            return np.ones(mats.shape[0], dtype=mats.dtype)  # index 1 is the unit
+        minors = {1 << j: mats[:, n - 1, j] for j in range(n)}
+        for mask, row, plus, minus in _laplace_plan(n):
+            signed = []
+            for terms in (plus, minus):
+                acc = None
+                for j, rest in terms:
+                    t = self.mul(mats[:, row, j], minors[rest])
+                    acc = t if acc is None else self.add(acc, t)
+                signed.append(acc)
+            minors[mask] = self.sub(*signed)
+        return minors[(1 << n) - 1]
 
     def rank(self, mats: np.ndarray, cap: int | None = None) -> np.ndarray:
         """Rank of (N, r, c) index matrices, clamped to cap when given.
 
-        While min(r, c) is within det's closed forms the rank comes from
-        minors: a nonzero k-minor implies a nonzero (k-1)-minor, so summing
-        the "some k x k minor is nonzero" indicators gives the rank.  Larger
-        shapes are row-reduced.
+        Up to min(r, c) = 4 the rank comes from minors: a nonzero k-minor
+        implies a nonzero (k-1)-minor, so summing the "some k x k minor is
+        nonzero" indicators gives the rank.  Larger shapes are row-reduced,
+        since the C(r, k) C(c, k) minors per k outgrow one elimination.
+        (Elimination already wins at some smaller shapes, such as 4 x 3;
+        moving the bound is a performance change of its own.)
         """
         nrows, ncols = mats.shape[-2], mats.shape[-1]
         top = min(nrows, ncols)
@@ -159,14 +131,19 @@ class VecField:
         return ranks
 
 
-def _parity(perm) -> bool:
-    """True for odd permutations."""
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return bool(inv & 1)
+@functools.cache
+def _laplace_plan(n: int):
+    """det's expansion steps for n x n matrices, smaller column sets first:
+    (column mask, the row it expands along, its (column, remaining mask)
+    terms of sign + and of sign -).  Masks of one column are the last row's
+    entries themselves and need no step."""
+    steps = []
+    for k in range(2, n + 1):
+        for cols in itertools.combinations(range(n), k):
+            mask = sum(1 << j for j in cols)
+            terms = [(j, mask & ~(1 << j)) for j in cols]
+            steps.append((mask, n - k, tuple(terms[0::2]), tuple(terms[1::2])))
+    return tuple(steps)
 
 
 def decode_assignments(

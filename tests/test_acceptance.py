@@ -396,7 +396,7 @@ def _edge_condition_pair_count(g, s, q):
     """Exhaustive count of pairs (symmetric s x s matrix Q, one vector per
     vertex) with every edge's two endpoint vectors Q-orthogonal."""
     field = gm.make_field(q)
-    elems = gm.enumerate_elements(field)
+    elems = field.elements
     cells = [(i, j) for i in range(s) for j in range(i, s)]
     vectors = list(itertools.product(elems, repeat=s))
     total = 0
@@ -428,7 +428,7 @@ def test_criterion_10_property_suites(tmp_path, monkeypatch, capsys):
         # field axioms, exhaustively over every order up to 16
         for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
             field = gm.make_field(q)
-            elems = gm.enumerate_elements(field)
+            elems = field.elements
             assert len(elems) == q
             for a in elems:
                 assert field.add(a, field.zero) == a

@@ -1,12 +1,18 @@
 """End-to-end tests of the command-line frontend, run in-process via main().
 
 Every invocation points GRAPHMOTIVE_CACHE at a per-test temporary directory
-so runs cannot see each other's cached counts.
+so runs cannot see each other's cached counts.  Inputs that once ran for a
+long time before failing run in a subprocess with a timeout (run_gm), so a
+regression fails its test instead of stalling the suite.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +21,25 @@ from graphmotive.cli import main
 from graphmotive.matroids import PartialRank
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 @pytest.fixture(autouse=True)
 def _isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("GRAPHMOTIVE_CACHE", str(tmp_path / "cache"))
+
+
+def run_gm(*argv: str) -> subprocess.CompletedProcess:
+    """gm argv in a fresh interpreter, killed after 60 s; each input run
+    this way finishes in well under a second."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "graphmotive.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
 
 
 def test_poly_text_output(capsys):
@@ -146,15 +168,39 @@ def test_count_partial_budget_failure_still_reports_the_rest(capsys):
     assert "q=3" in captured.err and "count=" not in captured.err
 
 
-def test_count_too_large_order_still_reports_the_rest(capsys):
-    # q=257 has no tabled arithmetic and q=65537 is past the largest field;
-    # like a budget overrun each costs only its own row
-    for big in ("257", "65537"):
-        code = main(["count", "--kind", "YG", "--name", "C3", "--q", f"2,{big}"])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "q=2 count=4" in captured.out and f"q={big}" not in captured.out
-        assert captured.err.startswith(f"q={big}: ")
+def test_count_too_large_order_still_reports_the_rest():
+    # no order above 256 has a field, prime power (257, 65537, 2^61 - 1) or
+    # not (1000); each costs only its own row, like a budget overrun, and
+    # none is factored, so 2^61 - 1 fails at once
+    bigs = ["257", "65537", "1000", str(2**61 - 1)]
+    out = run_gm("count", "--kind", "YG", "--name", "C3", "--q", ",".join(["2"] + bigs))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[1:] == ["q=2 count=4"]
+    assert out.stderr.splitlines() == [f"q={big}: field order {big} exceeds 256" for big in bigs]
+
+
+def test_tree_counts_check_the_budget_before_listing_trees():
+    # K10 has ~10^8 spanning trees and K9 ~5 * 10^6: listing them took
+    # longer than the refusal of the scan, which needs only q and the edges
+    for kind, name, points in (("YG", "K10", 2**45), ("XG", "K9", 2**36)):
+        out = run_gm("count", "--kind", kind, "--name", name, "--q", "2")
+        assert out.returncode == 1
+        assert out.stderr == (
+            f"q=2: polynomial zero scan needs {points} evaluations, "
+            "budget is 100000000\n"
+        )
+
+
+def test_form_census_is_budgeted():
+    # 468 pairs fit a budget of 500, but their census of all 3^6 symmetric
+    # 3 x 3 forms does not
+    out = run_gm("count", "--kind", "J", "--name", "D0", "--s", "3", "--q", "3",
+                 "--budget", "500", "--stats")
+    assert out.returncode == 1
+    assert out.stdout.splitlines()[1:] == []
+    assert out.stderr.splitlines()[0] == (
+        "q=3: symmetric form census needs 729 evaluations, budget is 500"
+    )
 
 
 def test_graph_input_forms_agree(tmp_path, capsys):
@@ -388,7 +434,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["count", "--kind", "YG", "--name", "C3", "--q", "2", "--budget", "-1"],
         ["poly", "--name", "Q7"],  # unknown graph name
         ["count", "--kind", "YG", "--name", "C3", "--q", "6"],  # not a prime power
-        ["count", "--kind", "YG", "--name", "C3", "--q", "2,70000"],
+        # not a prime power, and small enough to be factored
+        ["count", "--kind", "YG", "--name", "C3", "--q", "2,200"],
         ["count", "--kind", "YG", "--name", "C3", "--q", "abc"],
         ["count", "--kind", "YG", "--name", "C3", "--q", ","],
         ["count", "--kind", "A", "--name", "K2", "--q", "2", "--s", "2"],  # no r, k

@@ -12,7 +12,7 @@ import pytest
 from graphmotive import (
     LengthMismatch,
     NotPrimePower,
-    enumerate_elements,
+    TooLarge,
     make_field,
     matrix_rank_minors,
     rank_from_index_rows,
@@ -28,10 +28,16 @@ def test_rejects_non_prime_powers():
             make_field(q)
 
 
+def test_orders_above_256_have_no_field():
+    for q in [257, 65536, 2**61 - 1]:
+        with pytest.raises(TooLarge):
+            make_field(q)
+
+
 def test_element_enumeration_is_complete_and_distinct():
     for q in PRIME_POWERS:
         field = make_field(q)
-        elems = enumerate_elements(field)
+        elems = field.elements
         assert len(elems) == q
         assert len(set(elems)) == q
         assert elems[0] == field.zero
@@ -43,7 +49,7 @@ def test_element_enumeration_is_complete_and_distinct():
 def test_additive_group_axioms():
     for q in PRIME_POWERS:
         field = make_field(q)
-        elems = enumerate_elements(field)
+        elems = field.elements
         for a in elems:
             assert field.add(a, field.zero) == a
             assert field.add(a, field.neg(a)) == field.zero
@@ -55,7 +61,7 @@ def test_additive_group_axioms():
 def test_multiplicative_group_axioms():
     for q in PRIME_POWERS:
         field = make_field(q)
-        elems = enumerate_elements(field)
+        elems = field.elements
         for a in elems:
             assert field.mul(a, field.one) == a
             assert field.mul(a, field.zero) == field.zero
@@ -70,7 +76,7 @@ def test_multiplicative_group_axioms():
 def test_associativity_and_distributivity_triples():
     for q in SMALL:
         field = make_field(q)
-        elems = enumerate_elements(field)
+        elems = field.elements
         for a in elems:
             for b in elems:
                 ab_sum = field.add(a, b)
@@ -141,15 +147,41 @@ def test_integer_embedding_matches_repeated_addition():
 
 
 def test_index_tables_agree_with_element_arithmetic():
-    for q in SMALL:
+    """Every table entry against sums and products computed here on the
+    coefficient vectors: sums coefficient-wise mod p, products schoolbook
+    and reduced by the field's monic modulus."""
+
+    def poly_sum(a, b, p):
+        return tuple((x + y) % p for x, y in zip(a, b))
+
+    def poly_product(a, b, p, modulus):
+        n = len(modulus) - 1
+        prod = [0] * (2 * n - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        for d in range(len(prod) - 1, n - 1, -1):
+            lead = prod[d]
+            for k in range(n + 1):
+                prod[d - n + k] = (prod[d - n + k] - lead * modulus[k]) % p
+        return tuple(prod[:n])
+
+    for q in SMALL + [16]:
         field = make_field(q)
-        for i, a in enumerate(field.elements):
-            assert field.neg_table[i] == field.index(field.neg(a))
+        p, n = field.p, field.n
+        coeffs = [e.coeffs for e in field.elements]
+        where = {c: i for i, c in enumerate(coeffs)}
+        zero = (0,) * n
+        for i, a in enumerate(coeffs):
+            assert poly_sum(a, coeffs[field.neg_table[i]], p) == zero
             if i:
-                assert field.inv_table[i] == field.index(field.inv(a))
-            for j, b in enumerate(field.elements):
-                assert field.add_table[i][j] == field.index(field.add(a, b))
-                assert field.mul_table[i][j] == field.index(field.mul(a, b))
+                one = (1,) + (0,) * (n - 1)
+                assert poly_product(a, coeffs[field.inv_table[i]], p, field.modulus) == one
+            else:
+                assert field.inv_table[0] == 0
+            for j, b in enumerate(coeffs):
+                assert field.add_table[i][j] == where[poly_sum(a, b, p)]
+                assert field.mul_table[i][j] == where[poly_product(a, b, p, field.modulus)]
 
 
 def test_numpy_tables_agree_with_index_tables():
@@ -159,7 +191,7 @@ def test_numpy_tables_agree_with_index_tables():
         tables = field.np_tables
         for i in range(q):
             assert int(tables.neg[i]) == field.neg_table[i]
-            assert int(tables.inv[i]) == (field.inv_table[i] if i else 0)
+            assert int(tables.inv[i]) == field.inv_table[i]
             for j in range(q):
                 assert int(tables.add[i, j]) == field.add_table[i][j]
                 assert int(tables.mul[i, j]) == field.mul_table[i][j]

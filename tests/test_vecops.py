@@ -1,11 +1,15 @@
-"""Batched field kernels against the scalar row reduction.
+"""Batched field kernels against scalar oracles.
 
 VecField.rank answers every matrix shape: small shapes through minors,
 larger ones through a batched elimination.  Both sides are compared with
 rank_from_index_rows on random and deliberately rank-deficient matrices.
+VecField.det is compared with the Leibniz formula on the same kind of
+batches.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 
@@ -61,3 +65,39 @@ def test_rank_of_empty_batch():
     vf = VecField(make_field(3))
     for r, c in [(0, 0), (2, 3), (6, 5)]:
         assert vf.rank(np.zeros((0, r, c), dtype=np.uint8)).shape == (0,)
+
+
+def leibniz_det(field, mat):
+    """Index of the determinant as a signed sum over permutations."""
+    n = len(mat)
+    total = field.zero
+    for perm in itertools.permutations(range(n)):
+        term = field.one
+        for i, j in enumerate(perm):
+            term = field.mul(term, field.element(int(mat[i][j])))
+        inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(n), 2))
+        total = field.sub(total, term) if inversions % 2 else field.add(total, term)
+    return field.index(total)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_det_matches_leibniz_oracle(q):
+    field = make_field(q)
+    vf = VecField(field)
+    rng = np.random.default_rng(100 + q)
+    for n in range(6):
+        mats = sample_matrices(field, rng, n, n, count=12)
+        want = [leibniz_det(field, m.tolist()) for m in mats]
+        assert vf.det(mats).tolist() == want, n
+        if n:
+            # products through an inner dimension n - 1 are singular
+            singular = np.stack([
+                product_matrix(
+                    field,
+                    rng.integers(0, q, size=(n, n - 1)),
+                    rng.integers(0, q, size=(n - 1, n)),
+                )
+                for _ in range(12)
+            ])
+            assert not vf.det(singular).any(), n
+    assert vf.det(np.zeros((0, 3, 3), dtype=np.uint8)).shape == (0,)
