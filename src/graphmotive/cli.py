@@ -179,30 +179,30 @@ def _count_params(kind: str, args) -> dict:
     raise ParseError(f"unknown count kind {kind!r}")
 
 
-def _compute_count(kind: str, obj, args, q: int, budget) -> int:
+def _compute_count(kind: str, obj, args, q: int) -> int:
     """One field order of the table; obj is the input _count_input loaded."""
     if kind == "XM":
-        return matroids.count_X(obj, s=args.s, q=q, budget=budget)
+        return matroids.count_X(obj, s=args.s, q=q)
     if kind == "L":
-        return incidence.count_L(args.s, obj, q, budget=budget)
+        return incidence.count_L(args.s, obj, q)
     if kind == "YG":
-        return counting.count_tree_complement(obj, q, budget=budget)
+        return counting.count_tree_complement(obj, q)
     if kind == "XG":
-        return counting.count_tree_support(obj, q, budget=budget)
+        return counting.count_tree_support(obj, q)
     if kind == "Z":
-        return counting.count_blocked_nondegenerate(obj, q, budget=budget)
+        return counting.count_blocked_nondegenerate(obj, q)
     if kind == "Zo":
-        return counting.count_supported_nondegenerate(obj, q, budget=budget)
+        return counting.count_supported_nondegenerate(obj, q)
     if kind == "Zrank":
-        return counting.count_blocked_rank(obj, args.r, q, budget=budget)
+        return counting.count_blocked_rank(obj, args.r, q)
     if kind == "A":
-        return incidence.count_A(obj, args.s, args.r, args.k, q, budget=budget)
+        return incidence.count_A(obj, args.s, args.r, args.k, q)
     if kind == "J":
-        return incidence.count_J(obj, args.s, q, budget=budget)
+        return incidence.count_J(obj, args.s, q)
     if kind == "K":
-        return incidence.count_K(obj, args.s, q, budget=budget)
+        return incidence.count_K(obj, args.s, q)
     if kind == "H":
-        return incidence.count_H(obj, args.s, q, budget=budget)
+        return incidence.count_H(obj, args.s, q)
     raise ParseError(f"unknown count kind {kind!r}")
 
 
@@ -221,7 +221,7 @@ def _build_table(args, out_errors: list[str]) -> CountTable:
             make_field(q)  # an order above 256 has no field: this row fails
             val = cache.get(kind, input_text, params, q)
             if val is None:
-                val = _compute_count(kind, obj, args, q, args.budget)
+                val = _compute_count(kind, obj, args, q)
                 cache.put(kind, input_text, params, q, val)
         except (BudgetExceeded, TooLarge) as exc:
             out_errors.append(f"q={q}: {exc}")
@@ -330,11 +330,11 @@ def cmd_verify(args) -> int:
         try:
             make_field(q)  # an order above 256 has no field: this row fails
             if name in BOOL_IDENTITIES:
-                ok = check(g, q, budget=args.budget)
+                ok = check(g, q)
                 row = {"q": q, "ok": ok}
                 line = f"identity={name} q={q} {'PASS' if ok else 'FAIL'}"
             else:
-                report = incidence.verify_identity(name, params, q, budget=args.budget)
+                report = incidence.verify_identity(name, params, q)
                 ok = report.equal
                 row = {"q": q, "lhs": report.lhs, "rhs": report.rhs, "ok": ok}
                 line = (
@@ -394,8 +394,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    budget = args.budget
-    table = matroids.fano_demo(list(COUNTEREXAMPLE_QS), budget=budget)
+    table = matroids.fano_demo(list(COUNTEREXAMPLE_QS))
     odd_zero = all(table.counts[q] == 0 for q in (3, 5, 7, 9))
     even_pos = all(table.counts[q] > 0 for q in (2, 4, 8))
     result = fit_polynomial(table, max_deg=5)
@@ -495,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    stats.reset()
+    stats.reset(args.budget)
     try:
         if args.budget is not None and args.budget < 0:
             raise ParseError(f"--budget must be nonnegative, got {args.budget}")
@@ -507,6 +506,9 @@ def main(argv=None) -> int:
     except (BudgetExceeded, InsufficientPoints, GraphMotiveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 1
+    finally:
+        # the run's budget ends with it; library calls after main get the default
+        stats.budget = counting.DEFAULT_BUDGET
     if args.stats:
         print(f"evaluations={stats.evaluations}", file=sys.stderr)
     return code

@@ -2,15 +2,18 @@
 constrained symmetric matrices, and the classical closed-form counts.
 
 All counts are exact integers obtained either by explicit enumeration over a
-finite field (guarded by an evaluation budget) or by closed formulas whose
-divisions are asserted exact.  Enumeration work is tracked in a module-level
-counter so callers can prove that cached paths do no counting at all.
+finite field or by closed formulas whose divisions are asserted exact.  One
+ledger per run, `stats`, holds the evaluation budget, the work charged
+against it and every count memoized within the run.  A scan is charged in
+what it decodes (the rows `_scan` yields, times the work per row) and is
+refused when that exceeds the budget, so callers can also prove that cached
+paths do no counting at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 from .errors import BadArgs, BudgetExceeded, NotSimple, TooLarge
 from .ffield import FieldSpec, make_field, rank_from_index_rows
@@ -22,39 +25,51 @@ DEFAULT_BUDGET = 10**8
 _VECTOR_CHUNK = 1 << 18
 
 
-class EnumerationStats:
-    """Running total of field-assignment evaluations performed."""
+class Ledger:
+    """One run's budget, the evaluations charged against it, and its memo.
+    The budget caps each scan on its own, not the run's total."""
 
     def __init__(self) -> None:
+        self.reset()
+
+    def reset(self, budget=None) -> None:
+        """Start a new run under the given budget (None for DEFAULT_BUDGET):
+        zero the counter and forget every memoized count, so a run's
+        evaluations cover all the work it needed."""
+        self.budget = DEFAULT_BUDGET if budget is None else budget
         self.evaluations = 0
+        self.memo: dict[tuple, object] = {}
 
-    def add(self, n: int) -> None:
-        self.evaluations += n
+    def check(self, units: int, what: str) -> None:
+        if units > self.budget:
+            raise BudgetExceeded(units, self.budget, what)
 
-    def reset(self) -> None:
-        """Start a new run: zero the counter and forget every memoized
-        count, so a run's evaluations cover all the work it needed."""
-        self.evaluations = 0
-        _memo.clear()
+    def charge(self, units: int, what: str) -> None:
+        self.check(units, what)
+        self.evaluations += units
 
-
-stats = EnumerationStats()
-
-# every count memoized within a run, keyed by (kind, ...) tuples
-_memo: dict[tuple, object] = {}
-
-
-def _memoized(key: tuple, compute):
-    """compute() once per key until the next stats.reset()."""
-    if key not in _memo:
-        _memo[key] = compute()
-    return _memo[key]
+    def memoized(self, key: tuple, compute):
+        """compute() once per key until the next reset()."""
+        if key not in self.memo:
+            self.memo[key] = compute()
+        return self.memo[key]
 
 
-def _require_budget(required: int, budget: int | None, what: str) -> None:
-    limit = DEFAULT_BUDGET if budget is None else budget
-    if required > limit:
-        raise BudgetExceeded(required, limit, what)
+stats = Ledger()
+
+
+def _scan(positions: int, q: int, what: str, per_row=1, chunk=_VECTOR_CHUNK):
+    """Charges rows * per_row for the q^positions assignments of F_q indices
+    to the positions, then lazily yields them as decode_assignments chunks
+    of at most `chunk` rows."""
+    from .vecops import decode_assignments
+
+    total = q**positions
+    stats.charge(total * per_row, what)
+    return (
+        decode_assignments(start, min(start + chunk, total), positions, q)
+        for start in range(0, total, chunk)
+    )
 
 
 def _const_index(field: FieldSpec, c: int) -> int:
@@ -111,23 +126,20 @@ def _bilinear_zeros(vf, a, b, c, e, q: int):
     ).astype(np.int64)
 
 
-def count_zeros(poly: MultilinearPoly, q: int, budget: int | None = None) -> int:
+def count_zeros(poly: MultilinearPoly, q: int) -> int:
     """Number of points of F_q^nvars where the polynomial vanishes.
 
     The polynomial is multilinear, so in its last two variables x, y it reads
     a*x*y + b*x + c*y + e with a, b, c, e polynomials in the others: only the
     other variables are scanned, and _bilinear_zeros counts the (x, y) pairs.
     Fewer than two variables are padded with unused ones, which multiply the
-    count by q each.  Budget and stats count every point of F_q^nvars.
+    count by q each.  The scan, q^(max(nvars, 2) - 2) rows, is what the
+    ledger charges.
     """
-    from .vecops import VecField, decode_assignments
+    from .vecops import VecField
 
     field = make_field(q)
     nvars = poly.nvars
-    total_points = q**nvars
-    _require_budget(total_points, budget, "polynomial zero scan")
-    stats.add(total_points)
-
     n = max(nvars, 2)
     x, y = n - 2, n - 1
     # monomials by whether they hold x and y: coefficients of xy, x, y, 1
@@ -139,9 +151,7 @@ def count_zeros(poly: MultilinearPoly, q: int, budget: int | None = None) -> int
 
     vf = VecField(field)
     zeros = 0
-    scan = q ** (n - 2)
-    for start in range(0, scan, _VECTOR_CHUNK):
-        cols = decode_assignments(start, min(start + _VECTOR_CHUNK, scan), n - 2, q)
+    for cols in _scan(n - 2, q, "polynomial zero scan"):
         zeros += int(
             _bilinear_zeros(
                 vf, *(_evaluate(vf, part, cols) for part in (a, b, c, e)), q
@@ -156,31 +166,31 @@ def count_zeros(poly: MultilinearPoly, q: int, budget: int | None = None) -> int
 # graph hypersurface counts
 
 
-def _hypersurface_complement(g: Graph, q: int, poly, budget: int | None) -> int:
-    """Points of F_q^E off the zero locus of poly(g).  The scan's budget is
-    checked before poly(g) is built: enumerating the spanning trees of a
-    dense graph costs more than the refusal."""
-    _require_budget(q**g.m, budget, "polynomial zero scan")
-    return q**g.m - count_zeros(poly(g), q, budget=budget)
+def _hypersurface_complement(g: Graph, q: int, poly) -> int:
+    """Points of F_q^E off the zero locus of poly(g).  count_zeros's scan is
+    checked against the budget before poly(g) is built: enumerating the
+    spanning trees of a dense graph costs more than the refusal."""
+    stats.check(q ** (max(g.m, 2) - 2), "polynomial zero scan")
+    return q**g.m - count_zeros(poly(g), q)
 
 
-def count_tree_complement(g: Graph, q: int, budget: int | None = None) -> int:
+def count_tree_complement(g: Graph, q: int) -> int:
     """Points of F_q^E avoiding the zero locus of the tree-complement
     polynomial (the sum over spanning trees of the product of the
     off-tree variables)."""
-    return _memoized(
+    return stats.memoized(
         ("Y", g.key(), q),
-        lambda: _hypersurface_complement(g, q, tree_complement_poly, budget),
+        lambda: _hypersurface_complement(g, q, tree_complement_poly),
     )
 
 
-def count_tree_support(g: Graph, q: int, budget: int | None = None) -> int:
+def count_tree_support(g: Graph, q: int) -> int:
     """Points of F_q^E avoiding the zero locus of the spanning-tree
     polynomial (the sum over spanning trees of the product of the
     on-tree variables)."""
-    return _memoized(
+    return stats.memoized(
         ("X", g.key(), q),
-        lambda: _hypersurface_complement(g, q, spanning_tree_poly, budget),
+        lambda: _hypersurface_complement(g, q, spanning_tree_poly),
     )
 
 
@@ -196,29 +206,24 @@ class Strata:
     zero_exactly_on: dict[int, int]
 
 
-def strata_counts(g: Graph, q: int, budget: int | None = None) -> Strata:
+def strata_counts(g: Graph, q: int) -> Strata:
     """Stratify the zero locus of the spanning-tree polynomial by which
     coordinates vanish, and cross-check the two subset-sum identities
     relating the closed and exact strata.  Every point is scanned, no
     variable held back, because each point's zero set is needed."""
     import numpy as np
 
-    from .vecops import VecField, decode_assignments
+    from .vecops import VecField
 
     m = g.m
     if m > 20:
         raise TooLarge(f"stratification capped at 20 edges, got {m}")
     field = make_field(q)
-    total_points = q**m
-    _require_budget(total_points, budget, "stratum scan")
-    stats.add(total_points)
-
     terms = _index_terms(field, spanning_tree_poly(g).terms.items())
     vf = VecField(field)
     weights = np.int64(1) << np.arange(m, dtype=np.int64)
     counts = np.zeros(1 << m, dtype=np.int64)
-    for start in range(0, total_points, _VECTOR_CHUNK):
-        cols = decode_assignments(start, min(start + _VECTOR_CHUNK, total_points), m, q)
+    for cols in _scan(m, q, "stratum scan"):
         hits = cols[_evaluate(vf, terms, cols) == 0]
         zero_sets = (hits == 0).astype(np.int64) @ weights
         counts += np.bincount(zero_sets, minlength=1 << m)
@@ -255,7 +260,7 @@ def strata_counts(g: Graph, q: int, budget: int | None = None) -> Strata:
     return Strata(zero_on=closed, zero_exactly_on=exact)
 
 
-def verify_contract_delete_sums(g: Graph, q: int, budget: int | None = None) -> bool:
+def verify_contract_delete_sums(g: Graph, q: int) -> bool:
     """Check the two signed contraction/deletion sums that express each of
     the two hypersurface-complement counts through the other one.
 
@@ -275,9 +280,9 @@ def verify_contract_delete_sums(g: Graph, q: int, budget: int | None = None) -> 
             continue
         gc = g.contract(s)
         for t in range(1 << gc.m):
-            val = count_tree_support(gc.delete_edges(t), q, budget=budget)
+            val = count_tree_support(gc.delete_edges(t), q)
             first += -val if bin(t).count("1") % 2 else val
-    ok_first = first == count_tree_complement(g, q, budget=budget)
+    ok_first = first == count_tree_complement(g, q)
 
     second = 0
     for s in range(1 << m):
@@ -285,9 +290,9 @@ def verify_contract_delete_sums(g: Graph, q: int, budget: int | None = None) -> 
         for t in range(1 << gd.m):
             if not gd.subset_is_forest(t):
                 continue
-            val = count_tree_complement(gd.contract(t), q, budget=budget)
+            val = count_tree_complement(gd.contract(t), q)
             second += -val if bin(t).count("1") % 2 else val
-    ok_second = second == count_tree_support(g, q, budget=budget)
+    ok_second = second == count_tree_support(g, q)
     return ok_first and ok_second
 
 
@@ -307,23 +312,20 @@ def _pattern_cells(n: int, zero_pairs: frozenset[tuple[int, int]]):
     return cells
 
 
-def _symmetric_batches(d: int, q: int, cells):
+def _symmetric_batches(d: int, q: int, cells, what: str):
     """Every assignment of F_q indices to the given upper-triangle cells, as
     (B, d, d) uint8 chunks of symmetric matrices with every other cell zero,
-    in the digit order of decode_assignments."""
+    in the digit order of decode_assignments; charged as one _scan."""
     import numpy as np
 
-    from .vecops import decode_assignments
-
-    total = q ** len(cells)
-    for start in range(0, total, _VECTOR_CHUNK):
-        stop = min(start + _VECTOR_CHUNK, total)
-        cols = decode_assignments(start, stop, len(cells), q)
-        mats = np.zeros((stop - start, d, d), dtype=np.uint8)
+    def fill(cols):
+        mats = np.zeros((len(cols), d, d), dtype=np.uint8)
         for pos, (i, j) in enumerate(cells):
             mats[:, i, j] = cols[:, pos]
             mats[:, j, i] = cols[:, pos]
-        yield mats
+        return mats
+
+    return map(fill, _scan(len(cells), q, what))
 
 
 def _head_tail_order(n: int, zero_pairs: frozenset[tuple[int, int]]):
@@ -342,7 +344,6 @@ def _census_pattern(
     d: int,
     q: int,
     zero_pairs: frozenset[tuple[int, int]],
-    budget: int | None,
     rank_cap: int | None = None,
 ) -> dict[int, int]:
     """Rank histogram of all symmetric d x d matrices over F_q with zeros
@@ -350,9 +351,6 @@ def _census_pattern(
     rank_cap + 1 (callers that only need 'rank == target' use this)."""
     field = make_field(q)
     cells = _pattern_cells(d, zero_pairs)
-    total = q ** len(cells)
-    _require_budget(total, budget, "symmetric pattern scan")
-    stats.add(total)
 
     import numpy as np
 
@@ -361,7 +359,7 @@ def _census_pattern(
     vf = VecField(field)
     cap = None if rank_cap is None else rank_cap + 1
     counts: dict[int, int] = {}
-    for mats in _symmetric_batches(d, q, cells):
+    for mats in _symmetric_batches(d, q, cells, "symmetric pattern scan"):
         vals, freq = np.unique(vf.rank(mats, cap=cap), return_counts=True)
         for r, c in zip(vals.tolist(), freq.tolist()):
             counts[r] = counts.get(r, 0) + int(c)
@@ -369,10 +367,7 @@ def _census_pattern(
 
 
 def _count_full_rank_corner(
-    d: int,
-    q: int,
-    zero_pairs: frozenset[tuple[int, int]],
-    budget: int | None,
+    d: int, q: int, zero_pairs: frozenset[tuple[int, int]]
 ) -> int:
     """Nondegenerate symmetric d x d matrices over F_q with the given
     off-diagonal zero pattern.
@@ -392,14 +387,10 @@ def _count_full_rank_corner(
     u, w = d - 2, d - 1
     held = ((u, u), (w, w))
     cells = [c for c in _pattern_cells(d, zero_pairs) if c not in held]
-    total = q ** len(cells)
-    _require_budget(4 * total, budget, "nondegenerate pattern scan")
-    stats.add(4 * total)
-
     vf = VecField(field)
     one = field.index(field.one)
     result = 0
-    for mats in _symmetric_batches(d, q, cells):
+    for mats in _symmetric_batches(d, q, cells, "nondegenerate pattern scan"):
         d00 = vf.det(mats)
         mats[:, u, u] = one
         d10 = vf.det(mats)
@@ -414,12 +405,7 @@ def _count_full_rank_corner(
     return result
 
 
-def symmetric_rank_census(
-    n: int,
-    q: int,
-    zero_pairs=(),
-    budget: int | None = None,
-) -> dict[int, int]:
+def symmetric_rank_census(n: int, q: int, zero_pairs=()) -> dict[int, int]:
     """Exhaustive rank histogram of symmetric n x n matrices over F_q with
     the given off-diagonal positions forced to zero.  Pure enumeration;
     serves as the oracle for every closed-form or split computation."""
@@ -429,9 +415,7 @@ def symmetric_rank_census(
         if a == b or not (0 <= a < n and 0 <= b < n):
             raise BadArgs(f"invalid zero position ({a}, {b}) for size {n}")
     cells = _pattern_cells(n, pairs)
-    total = q ** len(cells)
-    _require_budget(total, budget, "symmetric census")
-    stats.add(total)
+    stats.charge(q ** len(cells), "symmetric census")
     counts: dict[int, int] = {}
     for assignment in product(range(q), repeat=len(cells)):
         rows = [[0] * n for _ in range(n)]
@@ -448,7 +432,6 @@ def _count_pattern_rank(
     q: int,
     zero_pairs: frozenset[tuple[int, int]],
     target: int,
-    budget: int | None,
 ) -> int:
     """Symmetric n x n matrices over F_q, zeros at the given off-diagonal
     pairs, rank exactly `target`.
@@ -465,10 +448,10 @@ def _count_pattern_rank(
         # the corner scan holds back two diagonal cells, so n >= 2; above
         # n = 4 it has not been timed against the rank census
         if target == n and 2 <= n <= 4:
-            return _count_full_rank_corner(n, q, mapped, budget)
-        counts = _census_pattern(n, q, mapped, budget, rank_cap=target)
+            return _count_full_rank_corner(n, q, mapped)
+        counts = _census_pattern(n, q, mapped, rank_cap=target)
         return counts.get(target, 0)
-    head = _census_pattern(d, q, mapped, budget)
+    head = _census_pattern(d, q, mapped)
     total = 0
     for head_rank, cnt in head.items():
         total += cnt * count_symmetric_extensions(n, target, d, head_rank, q)
@@ -489,44 +472,42 @@ def _nonedge_pairs(g: Graph) -> frozenset[tuple[int, int]]:
     )
 
 
-def count_blocked_rank(g: Graph, r: int, q: int, budget: int | None = None) -> int:
+def count_blocked_rank(g: Graph, r: int, q: int) -> int:
     """Symmetric matrices indexed by the vertices, vanishing at every edge
     position, of rank exactly r."""
-    return _count_pattern_rank(g.n, q, _edge_pairs(g), r, budget)
+    return _count_pattern_rank(g.n, q, _edge_pairs(g), r)
 
 
-def count_blocked_nondegenerate(g: Graph, q: int, budget: int | None = None) -> int:
+def count_blocked_nondegenerate(g: Graph, q: int) -> int:
     """Invertible symmetric matrices vanishing at every edge position."""
-    return count_blocked_rank(g, g.n, q, budget)
+    return count_blocked_rank(g, g.n, q)
 
 
-def count_supported_nondegenerate(g: Graph, q: int, budget: int | None = None) -> int:
+def count_supported_nondegenerate(g: Graph, q: int) -> int:
     """Invertible symmetric matrices vanishing at every non-edge position
     (off the diagonal); entries at edges and on the diagonal are free."""
-    return _count_pattern_rank(g.n, q, _nonedge_pairs(g), g.n, budget)
+    return _count_pattern_rank(g.n, q, _nonedge_pairs(g), g.n)
 
 
-def verify_free_vertex_extension(g: Graph, q: int, budget: int | None = None) -> bool:
+def verify_free_vertex_extension(g: Graph, q: int) -> bool:
     """Adding an isolated vertex (one free symmetric row/column) scales the
     blocked-pattern counts in a fixed way: the new nondegenerate count is
     (q^(n+1) - q^n) times the sum of the old counts in ranks n and n-1 —
     the two one-step rank jumps that land on full rank."""
     extended = g.add_disjoint_vertex()
-    lhs = count_blocked_nondegenerate(extended, q, budget)
+    lhs = count_blocked_nondegenerate(extended, q)
     n = g.n
     rhs = (q ** (n + 1) - q**n) * (
-        count_blocked_rank(g, n, q, budget)
-        + (count_blocked_rank(g, n - 1, q, budget) if n else 0)
+        count_blocked_rank(g, n, q) + (count_blocked_rank(g, n - 1, q) if n else 0)
     )
     return lhs == rhs
 
 
-def verify_apex_support_iso(g: Graph, q: int, budget: int | None = None) -> bool:
+def verify_apex_support_iso(g: Graph, q: int) -> bool:
     """The tree-support count of the apex extension equals the count of
     invertible symmetric matrices supported on the original graph."""
-    return count_tree_support(
-        g.apex_extension(), q, budget=budget
-    ) == count_supported_nondegenerate(g, q, budget=budget)
+    apex = count_tree_support(g.apex_extension(), q)
+    return apex == count_supported_nondegenerate(g, q)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +599,7 @@ def _extensions_cached(d2: int, r2: int, d1: int, r1: int, q: int) -> int:
         if r2 == r1 + 2:
             return q ** (d1 + 1) - q ** (r1 + 1)
         return 0
-    return _memoized(
+    return stats.memoized(
         ("ext", d2, r2, d1, r1, q),
         lambda: sum(
             _extensions_cached(d2, r2, d1 + 1, r1 + j, q)
@@ -634,7 +615,6 @@ def symmetric_extension_census(
     r1: int,
     q: int,
     base_rows: list[list[int]] | None = None,
-    budget: int | None = None,
 ) -> dict[int, int]:
     """Exhaustive rank histogram of all symmetric d2 x d2 extensions of a
     fixed symmetric d1 x d1 base of rank r1 (entries as field indices).
@@ -659,9 +639,7 @@ def symmetric_extension_census(
         raise BadArgs("base block does not have the stated rank")
 
     new_cells = [(i, j) for j in range(d1, d2) for i in range(j + 1)]
-    total = q ** len(new_cells)
-    _require_budget(total, budget, "extension census")
-    stats.add(total)
+    stats.charge(q ** len(new_cells), "extension census")
     counts: dict[int, int] = {}
     for assignment in product(range(q), repeat=len(new_cells)):
         rows = [[0] * d2 for _ in range(d2)]
@@ -680,14 +658,12 @@ def symmetric_extension_census(
 # matrix rank census (oracle for the closed forms)
 
 
-def rank_census(e: int, f: int, q: int, budget: int | None = None) -> dict[int, int]:
+def rank_census(e: int, f: int, q: int) -> dict[int, int]:
     """Rank histogram of all e x f matrices over F_q by enumeration."""
     if e < 0 or f < 0:
         raise BadArgs(f"shape must be nonnegative, got ({e}, {f})")
     field = make_field(q)
-    total = q ** (e * f)
-    _require_budget(total, budget, "matrix rank census")
-    stats.add(total)
+    stats.charge(q ** (e * f), "matrix rank census")
     counts: dict[int, int] = {}
     for assignment in product(range(q), repeat=e * f):
         rows = [list(assignment[i * f : (i + 1) * f]) for i in range(e)]
@@ -712,16 +688,6 @@ class CountTable:
 
         return json.dumps(
             {"label": self.label, "counts": {str(k): v for k, v in self.counts.items()}}
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "CountTable":
-        import json
-
-        data = json.loads(text)
-        return CountTable(
-            label=data["label"],
-            counts={int(k): int(v) for k, v in data["counts"].items()},
         )
 
     def qs(self) -> list[int]:

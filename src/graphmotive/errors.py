@@ -46,13 +46,11 @@ class LengthMismatch(GraphMotiveError):
 class BudgetExceeded(GraphMotiveError):
     """Enumeration would exceed the configured evaluation cap."""
 
-    def __init__(self, required: int, budget: int, what: str = "enumeration"):
+    def __init__(self, required: int, limit: int, what: str = "enumeration"):
         self.required = required
-        self.budget = budget
+        self.budget = limit
         self.what = what
-        super().__init__(
-            f"{what} needs {required} evaluations, budget is {budget}"
-        )
+        super().__init__(f"{what} needs {required} evaluations, budget is {limit}")
 
 
 class NotAForest(GraphMotiveError):

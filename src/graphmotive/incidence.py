@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .counting import (
-    DEFAULT_BUDGET,
-    _memoized,
-    _require_budget,
+    _scan,
     _symmetric_batches,
     count_invertible,
     count_subspaces,
@@ -35,7 +33,7 @@ _F_CHUNK = 1 << 15
 # symmetric forms grouped by rank
 
 
-def _sym_by_rank(s: int, q: int, budget: int | None = None):
+def _sym_by_rank(s: int, q: int):
     """All symmetric s x s index matrices over F_q grouped by rank, as
     {rank: uint8 array of shape (count, s, s)}."""
 
@@ -45,16 +43,15 @@ def _sym_by_rank(s: int, q: int, budget: int | None = None):
         from .vecops import VecField
 
         cells = [(i, j) for i in range(s) for j in range(i, s)]
-        _require_budget(q ** len(cells), budget, "symmetric form census")
-        stats.add(q ** len(cells))
-        mats = np.concatenate(list(_symmetric_batches(s, q, cells)))
+        batches = _symmetric_batches(s, q, cells, "symmetric form census")
+        mats = np.concatenate(list(batches))
         ranks = VecField(make_field(q)).rank(mats)
         return {r: mats[ranks == r] for r in range(s + 1)}
 
-    return _memoized(("sym", s, q), compute)
+    return stats.memoized(("sym", s, q), compute)
 
 
-def _forms(s: int, q: int, r: int, budget: int | None):
+def _forms(s: int, q: int, r: int):
     """Symmetric s x s forms of rank r.  Rank 0 is the zero form alone, so it
     needs no census of every form: span-only counts stay as cheap as their
     map scan."""
@@ -62,7 +59,7 @@ def _forms(s: int, q: int, r: int, budget: int | None):
         import numpy as np
 
         return np.zeros((1, s, s), dtype=np.uint8)
-    return _sym_by_rank(s, q, budget)[r]
+    return _sym_by_rank(s, q)[r]
 
 
 def _edge_set(g: Graph) -> list[tuple[int, int]]:
@@ -111,30 +108,28 @@ def _edge_ok(vf, fmats, Q, edges, q: int):
     return ok
 
 
-def _pairs(g: Graph, s: int, q: int, ranks, budget: int | None):
+def _pairs(g: Graph, s: int, q: int, ranks):
     """Scan of the (Q, f) pairs with Q of the given ranks and f any map from
     the vertices into F_q^s.
 
-    Charges q^(n s) times the number of such forms to the budget and the
-    evaluation counter before any form is built, then yields per chunk of
-    maps (vf, fmats, oks): fmats is (B, n, s), and oks lazily gives
-    (rank, edge-condition mask) for each form in turn.
+    The pair count, q^(n s) maps times the closed-form number of such forms,
+    is checked against the budget before any form is built; it is charged
+    once the forms are, so a refused form census charges nothing.  Yields
+    per chunk of maps (vf, fmats, oks): fmats is (B, n, s), and oks lazily
+    gives (rank, edge-condition mask) for each form in turn.
     """
     if s < 0:
         raise BadParams(f"ambient dimension must be nonnegative, got {s}")
-    from .vecops import VecField, decode_assignments
+    from .vecops import VecField
 
     edges = _edge_set(g)
     n = g.n
-    nf = q ** (n * s)
-    pairs = nf * sum(count_symmetric_rank(s, r, q) for r in ranks)
-    _require_budget(pairs, budget, "incidence scan")
-    stats.add(pairs)
+    nforms = sum(count_symmetric_rank(s, r, q) for r in ranks)
+    stats.check(q ** (n * s) * nforms, "incidence scan")
     vf = VecField(make_field(q))
-    forms = [(r, _forms(s, q, r, budget)) for r in ranks]
-    for start in range(0, nf, _F_CHUNK):
-        stop = min(start + _F_CHUNK, nf)
-        fmats = decode_assignments(start, stop, n * s, q).reshape(stop - start, n, s)
+    forms = [(r, _forms(s, q, r)) for r in ranks]
+    for cols in _scan(n * s, q, "incidence scan", per_row=nforms, chunk=_F_CHUNK):
+        fmats = cols.reshape(len(cols), n, s)
         oks = (
             (r, _edge_ok(vf, fmats, Q, edges, q)) for r, mats in forms for Q in mats
         )
@@ -145,9 +140,7 @@ def _pairs(g: Graph, s: int, q: int, ranks, budget: int | None):
 # the full (rank, span-dim) table for one graph and ambient dimension
 
 
-def _incidence_table(
-    g: Graph, s: int, q: int, budget: int | None = None
-) -> dict[tuple[int, int], int]:
+def _incidence_table(g: Graph, s: int, q: int) -> dict[tuple[int, int], int]:
     """counts[(r, k)] over all (Q, f) pairs satisfying the edge conditions,
     classified by the rank r of Q and the span dimension k of f."""
 
@@ -156,25 +149,23 @@ def _incidence_table(
 
         kmax = min(s, g.n)
         hist = np.zeros((s + 1, kmax + 1), dtype=np.int64)
-        for vf, fmats, oks in _pairs(g, s, q, range(s + 1), budget):
+        for vf, fmats, oks in _pairs(g, s, q, range(s + 1)):
             dims = vf.rank(fmats)
             for r, ok in oks:
                 hist[r] += np.bincount(dims[ok], minlength=kmax + 1)
         return {(r, k): int(hist[r, k]) for r in range(s + 1) for k in range(kmax + 1)}
 
-    return _memoized(("A", g.key(), s, q), compute)
+    return stats.memoized(("A", g.key(), s, q), compute)
 
 
-def _count_constrained(
-    g: Graph, s: int, q: int, rank: int, constraints, budget: int | None
-) -> int:
+def _count_constrained(g: Graph, s: int, q: int, rank: int, constraints) -> int:
     """(Q, f) pairs with Q of the given rank whose map meets every (vertex
     mask, span dimension) requirement.  An unsatisfiable requirement gives
     zero with no scan (a negative s goes on to _pairs, which rejects it)."""
     if s >= 0 and any(need > min(s, bin(mask).count("1")) for mask, need in constraints):
         return 0
     total = 0
-    for vf, fmats, oks in _pairs(g, s, q, (rank,), budget):
+    for vf, fmats, oks in _pairs(g, s, q, (rank,)):
         want = _span_ok(vf, fmats, constraints)
         for _, ok in oks:
             total += int((ok & want).sum())
@@ -185,24 +176,17 @@ def _count_constrained(
 # public counts
 
 
-def count_A(
-    g: Graph,
-    s: int,
-    r: int,
-    k: int,
-    q: int,
-    budget: int | None = None,
-) -> int:
+def count_A(g: Graph, s: int, r: int, k: int, q: int) -> int:
     """Pairs (Q, f): Q symmetric s x s of rank exactly r, f into F_q^s with
     span dimension exactly k, every edge condition satisfied."""
     if s < 0 or r < 0 or k < 0:
         raise BadParams(f"parameters must be nonnegative, got s={s} r={r} k={k}")
     if r > s or k > min(s, g.n):
         return 0
-    return _incidence_table(g, s, q, budget)[(r, k)]
+    return _incidence_table(g, s, q)[(r, k)]
 
 
-def count_A_slow(g: Graph, s: int, r: int, k: int, q: int, budget: int | None = None) -> int:
+def count_A_slow(g: Graph, s: int, r: int, k: int, q: int) -> int:
     """Reference implementation by direct nested enumeration."""
     if s < 0 or r < 0 or k < 0:
         raise BadParams(f"parameters must be nonnegative, got s={s} r={r} k={k}")
@@ -210,9 +194,7 @@ def count_A_slow(g: Graph, s: int, r: int, k: int, q: int, budget: int | None = 
         return 0
     edges = _edge_set(g)
     n = g.n
-    raw = q ** (s * (s + 1) // 2 + s * n)
-    _require_budget(raw, budget, "incidence scan")
-    stats.add(raw)
+    stats.charge(q ** (s * (s + 1) // 2 + s * n), "incidence scan")
     field = make_field(q)
     add = field.add_table
     mul = field.mul_table
@@ -243,42 +225,40 @@ def count_A_slow(g: Graph, s: int, r: int, k: int, q: int, budget: int | None = 
     return total
 
 
-def count_J(g: Graph, s: int, q: int, budget: int | None = None) -> int:
+def count_J(g: Graph, s: int, q: int) -> int:
     """Pairs (Q, f) with Q invertible and f unrestricted (any span)."""
-    return _memoized(
-        ("J", g.key(), s, q), lambda: _count_constrained(g, s, q, s, (), budget)
+    return stats.memoized(
+        ("J", g.key(), s, q), lambda: _count_constrained(g, s, q, s, ())
     )
 
 
-def count_J_partial(
-    g: Graph, s: int, pi: PartialRank, q: int, budget: int | None = None
-) -> int:
+def count_J_partial(g: Graph, s: int, pi: PartialRank, q: int) -> int:
     """Invertible-Q pairs whose map satisfies required span dimensions on
     the given vertex subsets.  Unsatisfiable requirements give zero."""
     if pi.ground != g.n:
         raise BadParams(
             f"requirements are over {pi.ground} elements, graph has {g.n} vertices"
         )
-    return _count_constrained(g, s, q, s, tuple(sorted(pi.pairs)), budget)
+    return _count_constrained(g, s, q, s, tuple(sorted(pi.pairs)))
 
 
-def count_K(g: Graph, s: int, q: int, budget: int | None = None) -> int:
+def count_K(g: Graph, s: int, q: int) -> int:
     """Pairs with Q invertible and f of full span."""
-    return count_A(g, s, s, s, q, budget)
+    return count_A(g, s, s, s, q)
 
 
-def count_H(g: Graph, s: int, q: int, budget: int | None = None) -> int:
+def count_H(g: Graph, s: int, q: int) -> int:
     """Pairs in ambient dimension n (the vertex count) with Q of rank s and
     f of full span n."""
     if s < 0:
         raise BadParams(f"rank must be nonnegative, got s={s}")
-    return count_A(g, g.n, s, g.n, q, budget)
+    return count_A(g, g.n, s, g.n, q)
 
 
-def count_L(s: int, pi: PartialRank, q: int, budget: int | None = None) -> int:
+def count_L(s: int, pi: PartialRank, q: int) -> int:
     """Maps from the ground set into F_q^s with required span dimensions on
     the given subsets (no form, no edges)."""
-    return _count_constrained(Graph(pi.ground, ()), s, q, 0, pi.pairs, budget)
+    return _count_constrained(Graph(pi.ground, ()), s, q, 0, pi.pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +335,13 @@ def _attach_to_subset(g: Graph, subset: int, t: int) -> Graph:
     return Graph(g.n + t, tuple(edges))
 
 
-def verify_identity(
-    name: str, params: dict, q: int, budget: int | None = None
-) -> IdentityReport:
+def verify_identity(name: str, params: dict, q: int) -> IdentityReport:
     """Evaluate both sides of a named counting identity by enumeration plus
-    closed-form factors and report the comparison."""
+    closed-form factors and report the comparison.
+
+    The reductions' right-hand sides open with a Grassmannian factor that
+    vanishes when r or k exceeds s; the rest is then left unevaluated, since
+    its factors need r, k <= s."""
     p = dict(params)
 
     def need(*keys):
@@ -370,67 +352,67 @@ def verify_identity(
 
     if name == "firstred":
         g, s, r, k = need("graph", "s", "r", "k")
-        lhs = count_A(g, s, r, k, q, budget)
-        rhs = count_subspaces(k, s, q) * sum(
-            count_symmetric_extensions(s, r, k, j, q) * count_A(g, k, j, k, q, budget)
+        lhs = count_A(g, s, r, k, q)
+        rhs = (grass := count_subspaces(k, s, q)) and grass * sum(
+            count_symmetric_extensions(s, r, k, j, q) * count_A(g, k, j, k, q)
             for j in range(k + 1)
         )
     elif name == "secondred":
         g, s, r, k = need("graph", "s", "r", "k")
         n = g.n
-        lhs = count_A(g, s, r, k, q, budget)
-        rhs = count_subspaces(r, s, q) * sum(
+        lhs = count_A(g, s, r, k, q)
+        rhs = (grass := count_subspaces(r, s, q)) and grass * sum(
             count_subspaces(n - k, n - l, q)
             * count_subspaces(k - l, s - r, q)
             * count_invertible(k - l, q)
             * q ** (l * (s - r))
-            * count_A(g, r, r, l, q, budget)
+            * count_A(g, r, r, l, q)
             for l in range(k + 1)
         )
     elif name == "cor-secondred":
         g, s, r = need("graph", "s", "r")
         n = g.n
-        lhs = count_A(g, s, r, s, q, budget)
-        rhs = (
-            count_subspaces(r, s, q)
+        lhs = count_A(g, s, r, s, q)
+        rhs = (grass := count_subspaces(r, s, q)) and (
+            grass
             * count_subspaces(n - s, n - r, q)
             * count_invertible(s - r, q)
             * q ** (r * (s - r))
-            * count_A(g, r, r, r, q, budget)
+            * count_A(g, r, r, r, q)
         )
     elif name == "Dreduction":
         g, s, r, k = need("graph", "s", "r", "k")
         extended = g.add_disjoint_vertex()
-        lhs = count_A(extended, s, r, k, q, budget)
-        rhs = q**k * count_A(g, s, r, k, q, budget)
+        lhs = count_A(extended, s, r, k, q)
+        rhs = q**k * count_A(g, s, r, k, q)
         if k >= 1:
-            rhs += (q**s - q ** (k - 1)) * count_A(g, s, r, k - 1, q, budget)
+            rhs += (q**s - q ** (k - 1)) * count_A(g, s, r, k - 1, q)
     elif name == "yuck":
         g, r = need("graph", "r")
         n = g.n
         if not 0 <= r <= n + 1:
             raise BadParams(f"rank parameter must lie in 0..{n + 1}, got {r}")
         extended = g.add_disjoint_vertex()
-        lhs = count_H(extended, r, q, budget)
-        rhs = q ** (n + r) * (q ** (n + 1) - 1) * count_H(g, r, q, budget)
+        lhs = count_H(extended, r, q)
+        rhs = q ** (n + r) * (q ** (n + 1) - 1) * count_H(g, r, q)
         if r >= 1:
             rhs += (
                 q ** (n + r - 1)
                 * (q ** (n + 1) - 1)
                 * (q - 1)
-                * count_H(g, r - 1, q, budget)
+                * count_H(g, r - 1, q)
             )
         if r >= 2:
             rhs += (
                 q**n
                 * (q ** (n + 1) - 1)
                 * (q ** (n + 1) - q ** (r - 1))
-                * count_H(g, r - 2, q, budget)
+                * count_H(g, r - 2, q)
             )
     elif name == "Jyuck":
         g, s = need("graph", "s")
-        lhs = count_J(g.add_disjoint_vertex(), s, q, budget)
-        rhs = q**s * count_J(g, s, q, budget)
+        lhs = count_J(g.add_disjoint_vertex(), s, q)
+        rhs = q**s * count_J(g, s, q)
     elif name == "pi-strat":
         g, s, t, subset = need("graph", "s", "t", "subset")
         base: PartialRank = p.get("base") or PartialRank(g.n, ())
@@ -438,18 +420,16 @@ def verify_identity(
             raise BadParams("base requirements already constrain the subset")
         extended = _attach_to_subset(g, subset, t)
         lifted = PartialRank(extended.n, base.pairs)
-        lhs = count_J_partial(extended, s, lifted, q, budget)
+        lhs = count_J_partial(extended, s, lifted, q)
         rhs = 0
         for i in range(s + 1):
             pi_i = PartialRank(g.n, base.pairs + ((subset, s - i),))
-            rhs += q ** (t * i) * count_J_partial(g, s, pi_i, q, budget)
+            rhs += q ** (t * i) * count_J_partial(g, s, pi_i, q)
     elif name == "grassmann-factor":
         matroid: Matroid
         matroid, s = need("matroid", "s")
-        lhs = count_X(matroid, s, q, budget)
-        rhs = count_subspaces(matroid.rank, s, q) * count_X(
-            matroid, matroid.rank, q, budget
-        )
+        lhs = count_X(matroid, s, q)
+        rhs = count_subspaces(matroid.rank, s, q) * count_X(matroid, matroid.rank, q)
     else:
         raise BadParams(f"unknown identity {name!r}")
     return IdentityReport(

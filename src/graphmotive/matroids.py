@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .counting import CountTable, DEFAULT_BUDGET, count_invertible, stats
+from .counting import CountTable, count_invertible, stats
 from .errors import BadParams, BudgetExceeded, ParseError, TooLarge
 from .ffield import FieldSpec, make_field, rank_from_index_rows
 from .graphs import indices_from_mask
@@ -96,14 +96,6 @@ class PartialRank:
             if mask in seen:
                 raise BadParams(f"duplicate subset mask {mask}")
             seen.add(mask)
-
-    @staticmethod
-    def total(matroid: Matroid) -> "PartialRank":
-        """The fully specified rank table of a matroid as requirements."""
-        return PartialRank(
-            matroid.m,
-            tuple((mask, matroid.ranks[mask]) for mask in range(1 << matroid.m)),
-        )
 
 
 def validate_axioms(matroid: Matroid) -> bool:
@@ -287,12 +279,7 @@ def _greedy_basis(matroid: Matroid) -> list[int]:
     return basis
 
 
-def count_X(
-    matroid: Matroid,
-    s: int | None = None,
-    q: int = 2,
-    budget: int | None = None,
-) -> int:
+def count_X(matroid: Matroid, s: int | None = None, q: int = 2) -> int:
     """Maps f from the ground set to F_q^s whose span dimension on every
     subset equals the tabulated rank.
 
@@ -308,8 +295,8 @@ def count_X(
     same number of completions: only the vector whose first nonzero
     coefficient over the rows generating its candidate space is one is
     tried, and the result is multiplied by q - 1 per such element.  A loop
-    takes the zero vector, which no other element can.  The budget and the
-    evaluation counter count these normalized candidates.
+    takes the zero vector, which no other element can.  The ledger counts
+    these normalized candidates, the DFS nodes.
     """
     if s is None:
         s = matroid.rank
@@ -320,7 +307,7 @@ def count_X(
     if matroid.m == 0:
         return 1
     field = make_field(q)
-    limit = DEFAULT_BUDGET if budget is None else budget
+    limit = stats.budget
 
     pinned = s == matroid.rank
     if pinned:
@@ -384,15 +371,13 @@ def count_X(
     try:
         count = dfs(0) * (q - 1) ** scaled
     finally:
-        stats.add(visited)
+        stats.evaluations += visited
     if pinned:
         count *= count_invertible(s, q)
     return count
 
 
-def count_X_oracle(
-    matroid: Matroid, s: int | None = None, q: int = 2, budget: int | None = None
-) -> int:
+def count_X_oracle(matroid: Matroid, s: int | None = None, q: int = 2) -> int:
     """Independent reference count: depth-first over all vectors for each
     element in ground order, checking the span dimension of every subset of
     the assigned prefix directly."""
@@ -400,7 +385,7 @@ def count_X_oracle(
         s = matroid.rank
     field = make_field(q)
     m = matroid.m
-    limit = DEFAULT_BUDGET if budget is None else budget
+    limit = stats.budget
     visited = 0
     vecs: list[list[int]] = []
 
@@ -431,10 +416,10 @@ def count_X_oracle(
     try:
         return dfs(0)
     finally:
-        stats.add(visited)
+        stats.evaluations += visited
 
 
-def fano_demo(q_list, budget: int | None = None) -> CountTable:
+def fano_demo(q_list) -> CountTable:
     """Representation counts of the seven-point plane over each field."""
     allowed = {2, 3, 4, 5, 7, 8, 9}
     qs = list(q_list)
@@ -444,7 +429,7 @@ def fano_demo(q_list, budget: int | None = None) -> CountTable:
     M = fano()
     return CountTable(
         label="XM:fano:s=3",
-        counts={q: count_X(M, 3, q, budget=budget) for q in qs},
+        counts={q: count_X(M, 3, q) for q in qs},
     )
 
 

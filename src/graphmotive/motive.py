@@ -9,7 +9,6 @@ arithmetic; floating point never appears.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,14 +88,6 @@ class IntPoly:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-    def to_json(self) -> str:
-        return json.dumps({"coeffs": list(self.coeffs)})
-
-    @staticmethod
-    def from_json(text: str) -> "IntPoly":
-        data = json.loads(text)
-        return IntPoly(tuple(int(c) for c in data["coeffs"]))
 
     @staticmethod
     def constant(c: int) -> "IntPoly":

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -155,12 +156,15 @@ def test_count_exits_nonzero_when_every_order_over_budget(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "q=2" in captured.err
+    # the run's budget does not outlive it
+    assert counting.stats.budget == counting.DEFAULT_BUDGET
 
 
 def test_count_partial_budget_failure_still_reports_the_rest(capsys):
-    # q=2 fits in a budget of 10 (the scan needs 2^3 states), q=3 does not.
+    # q=2 fits in a budget of 2 (the scan decodes 2^1 rows, two of the three
+    # edge variables held back), q=3 does not.
     code = main(
-        ["count", "--kind", "YG", "--name", "C3", "--q", "2,3", "--budget", "10"]
+        ["count", "--kind", "YG", "--name", "C3", "--q", "2,3", "--budget", "2"]
     )
     captured = capsys.readouterr()
     assert code == 0
@@ -182,7 +186,8 @@ def test_count_too_large_order_still_reports_the_rest():
 def test_tree_counts_check_the_budget_before_listing_trees():
     # K10 has ~10^8 spanning trees and K9 ~5 * 10^6: listing them took
     # longer than the refusal of the scan, which needs only q and the edges
-    for kind, name, points in (("YG", "K10", 2**45), ("XG", "K9", 2**36)):
+    # (q^(m - 2) rows: two of the m edge variables are held back)
+    for kind, name, points in (("YG", "K10", 2**43), ("XG", "K9", 2**34)):
         out = run_gm("count", "--kind", kind, "--name", name, "--q", "2")
         assert out.returncode == 1
         assert out.stderr == (
@@ -193,14 +198,44 @@ def test_tree_counts_check_the_budget_before_listing_trees():
 
 def test_form_census_is_budgeted():
     # 468 pairs fit a budget of 500, but their census of all 3^6 symmetric
-    # 3 x 3 forms does not
+    # 3 x 3 forms does not; the refused census charges no pair
     out = run_gm("count", "--kind", "J", "--name", "D0", "--s", "3", "--q", "3",
                  "--budget", "500", "--stats")
     assert out.returncode == 1
     assert out.stdout.splitlines()[1:] == []
-    assert out.stderr.splitlines()[0] == (
-        "q=3: symmetric form census needs 729 evaluations, budget is 500"
-    )
+    assert out.stderr.splitlines() == [
+        "q=3: symmetric form census needs 729 evaluations, budget is 500",
+        "evaluations=0",
+    ]
+    # the pair count is refused before the 3^15-form census is built
+    start = time.monotonic()
+    out = run_gm("count", "--kind", "J", "--name", "P3", "--s", "5", "--q", "3")
+    assert out.returncode == 1
+    assert out.stderr.startswith("q=3: incidence scan needs ")
+    assert time.monotonic() - start < 2
+
+
+def test_stats_count_decoded_rows(capsys):
+    # XG scans 3^(6 - 2) rows of K4's six edge variables; Z on P4 scans the
+    # 3^5 free cells left after holding back two diagonal cells
+    for kind, name, rows in (("XG", "K4", 81), ("Z", "P4", 243)):
+        code = main(["count", "--kind", kind, "--name", name, "--q", "3", "--stats"])
+        assert code == 0
+        assert capsys.readouterr().err == f"evaluations={rows}\n"
+
+
+def test_reductions_beyond_the_ambient_dimension_are_exact_zeros(capsys):
+    # r or k above s: both sides vanish, as exact integers in text and JSON
+    for argv in (
+        ["--identity", "secondred", "--s", "1", "--r", "2", "--k", "1"],
+        ["--identity", "firstred", "--s", "2", "--r", "0", "--k", "3"],
+        ["--identity", "cor-secondred", "--s", "1", "--r", "2"],
+    ):
+        code = main(["verify", "--name", "C3", "--q", "2", *argv, "--format", "json"])
+        text, doc = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert text.endswith(" q=2 lhs=0 rhs=0 PASS")
+        assert json.loads(doc)["rows"] == [{"q": 2, "lhs": 0, "rhs": 0, "ok": True}]
 
 
 def test_graph_input_forms_agree(tmp_path, capsys):

@@ -7,7 +7,10 @@ with nothing but the element-level field operations.
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import itertools
+import pkgutil
 
 import pytest
 
@@ -18,6 +21,7 @@ from graphmotive import (
     MultilinearPoly,
     TooLarge,
     complete,
+    count_A,
     count_blocked_nondegenerate,
     count_blocked_rank,
     count_invertible,
@@ -87,13 +91,46 @@ def test_count_zeros_against_evaluation_oracle():
 
 
 def test_count_zeros_budget_and_stats():
+    # three variables, two held back: the ledger charges the 3 decoded rows
     poly = spanning_tree_poly(cycle(3))
     stats.reset()
     count_zeros(poly, 3)
-    assert stats.evaluations == 27
+    assert stats.evaluations == 3
+    stats.reset(budget=2)
     with pytest.raises(BudgetExceeded) as info:
-        count_zeros(poly, 3, budget=26)
-    assert info.value.required == 27 and info.value.budget == 26
+        count_zeros(poly, 3)
+    assert info.value.required == 3 and info.value.budget == 2
+
+
+def test_memo_honours_the_run_budget():
+    # a count memoized under one budget is not an answer under a smaller one
+    stats.reset()
+    assert count_A(path(3), 2, 1, 1, 3) == 448
+    stats.reset(budget=10)
+    with pytest.raises(BudgetExceeded):
+        count_A(path(3), 2, 1, 1, 3)
+
+
+def test_no_public_callable_takes_a_budget():
+    # the run's budget lives on the ledger alone, never in a signature
+    import graphmotive
+
+    modules = [graphmotive] + [
+        importlib.import_module(f"graphmotive.{info.name}")
+        for info in pkgutil.iter_modules(graphmotive.__path__)
+    ]
+    offenders = []
+    for mod in modules:
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or not callable(obj):
+                continue
+            try:
+                params = inspect.signature(obj).parameters
+            except (TypeError, ValueError):
+                continue
+            if "budget" in params:
+                offenders.append(f"{mod.__name__}.{name}")
+    assert offenders == []
 
 
 def test_count_zeros_matches_oracle_on_random_polynomials():
@@ -281,7 +318,7 @@ def test_pattern_census_against_element_oracle():
     for d in (1, 2, 3):
         for q in (2, 3):
             for pattern in all_patterns(d):
-                assert _census_pattern(d, q, pattern, None) == pattern_census_oracle(
+                assert _census_pattern(d, q, pattern) == pattern_census_oracle(
                     d, q, pattern
                 )
 
@@ -294,8 +331,8 @@ def test_corner_full_rank_shortcut_against_census():
             if (d, q) == (4, 4):
                 continue  # covered at q=2,3; the q=4 scan alone costs ~30 s
             for pattern in all_patterns(d):
-                full = _census_pattern(d, q, pattern, None).get(d, 0)
-                assert _count_full_rank_corner(d, q, pattern, None) == full
+                full = _census_pattern(d, q, pattern).get(d, 0)
+                assert _count_full_rank_corner(d, q, pattern) == full
 
 
 def test_blocked_and_supported_counts():

@@ -51,11 +51,6 @@ def test_intpoly_format():
     assert (Q * Q * Q - Q * Q).format(var="t") == "t^3 - t^2"
 
 
-def test_intpoly_json_round_trip():
-    for p in [IntPoly(()), ONE, Q * Q - IntPoly.constant(3) * Q + ONE]:
-        assert IntPoly.from_json(p.to_json()) == p
-
-
 def test_fit_recovers_polynomial_counts():
     table = CountTable("cycle", {q: q**3 - q**2 for q in (2, 3, 4, 5, 7, 8)})
     fitted = fit_polynomial(table, 3)
@@ -84,9 +79,3 @@ def test_fit_failure_modes():
         fit_polynomial(CountTable("tiny", {2: 1, 3: 2}), 1)
     with pytest.raises(BadParams):
         fit_polynomial(bad, -1)
-
-
-def test_count_table_json_round_trip():
-    t = CountTable("demo", {2: 4, 3: 18, 5: 100})
-    back = CountTable.from_json(t.to_json())
-    assert back.label == t.label and back.counts == t.counts
