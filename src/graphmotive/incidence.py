@@ -15,7 +15,6 @@ from itertools import product
 
 from .counting import (
     _scan,
-    _symmetric_batches,
     count_invertible,
     count_subspaces,
     count_symmetric_extensions,
@@ -30,36 +29,57 @@ from .matroids import Matroid, PartialRank, count_X
 _F_CHUNK = 1 << 15
 
 # ---------------------------------------------------------------------------
-# symmetric forms grouped by rank
+# symmetric forms up to congruence
 
 
-def _sym_by_rank(s: int, q: int):
-    """All symmetric s x s index matrices over F_q grouped by rank, as
-    {rank: uint8 array of shape (count, s, s)}."""
+def _classes(s: int, q: int, r: int):
+    """One representative per congruence class (Q ~ A^T Q A, A invertible)
+    of the symmetric s x s forms of rank r over F_q, with the class size, as
+    [(uint8 (s, s) index matrix, size)].
 
-    def compute():
-        import numpy as np
+    A class is fixed by the nondegenerate r-form Q induces modulo its radical
+    (Albert 1938), and has [s choose r]_q * |GL_r| / |isometries of that
+    r-form| members.  Odd q: two r-forms, diag(1, ..., 1) and diag(1, ...,
+    1, d) with d a nonsquare; for odd r they are swapped by scaling and split
+    the forms in halves, for r = 2m their isometry groups are O^+ and O^-
+    (MacWilliams 1969).  Even q: diag(1, ..., 1), and for r = 2m also the
+    alternating form of m hyperbolic planes, whose isometries are Sp_2m."""
+    import numpy as np
 
-        from .vecops import VecField
-
-        cells = [(i, j) for i in range(s) for j in range(i, s)]
-        batches = _symmetric_batches(s, q, cells, "symmetric form census")
-        mats = np.concatenate(list(batches))
-        ranks = VecField(make_field(q)).rank(mats)
-        return {r: mats[ranks == r] for r in range(s + 1)}
-
-    return stats.memoized(("sym", s, q), compute)
-
-
-def _forms(s: int, q: int, r: int):
-    """Symmetric s x s forms of rank r.  Rank 0 is the zero form alone, so it
-    needs no census of every form: span-only counts stay as cheap as their
-    map scan."""
+    field = make_field(q)
+    one = field.index(field.one)
+    total = count_symmetric_rank(s, r, q)
+    base = np.zeros((s, s), dtype=np.uint8)
     if r == 0:
-        import numpy as np
-
-        return np.zeros((1, s, s), dtype=np.uint8)
-    return _sym_by_rank(s, q)[r]
+        return [(base, total)]
+    base[range(r), range(r)] = one
+    other = base.copy()
+    m, odd_rank = divmod(r, 2)
+    if q % 2:
+        squares = {field.mul_table[x][x] for x in range(1, q)}
+        other[r - 1, r - 1] = min(x for x in range(1, q) if x not in squares)
+        if odd_rank:
+            size = total // 2
+        else:
+            # other's type: eps = +1 when (-1)^m d is a square, that is when
+            # (-1)^m is not; order is |O^eps_2m|, its isometry group
+            eps = -1 if m % 2 == 0 or field.neg_table[one] in squares else 1
+            order = 2 * q ** (m * (m - 1)) * (q**m - eps)
+            for i in range(1, m):
+                order *= q ** (2 * i) - 1
+            size, rest = divmod(count_invertible(r, q), order)
+            assert rest == 0
+            size *= count_subspaces(r, s, q)
+    elif odd_rank:
+        return [(base, total)]
+    else:
+        other[range(r), range(r)] = 0
+        other[range(0, r, 2), range(1, r, 2)] = one
+        other[range(1, r, 2), range(0, r, 2)] = one
+        size = count_subspaces(r, s, q) * q ** (m * (m - 1))
+        for i in range(1, m + 1):
+            size *= q ** (2 * i - 1) - 1
+    return [(base, total - size), (other, size)]
 
 
 def _edge_set(g: Graph) -> list[tuple[int, int]]:
@@ -110,13 +130,14 @@ def _edge_ok(vf, fmats, Q, edges, q: int):
 
 def _pairs(g: Graph, s: int, q: int, ranks):
     """Scan of the (Q, f) pairs with Q of the given ranks and f any map from
-    the vertices into F_q^s.
+    the vertices into F_q^s, one form per congruence class.
 
-    The pair count, q^(n s) maps times the closed-form number of such forms,
-    is checked against the budget before any form is built; it is charged
-    once the forms are, so a refused form census charges nothing.  Yields
-    per chunk of maps (vf, fmats, oks): fmats is (B, n, s), and oks lazily
-    gives (rank, edge-condition mask) for each form in turn.
+    Q -> A^T Q A, f -> A^-1 f keeps every edge condition, the rank of Q and
+    the span of every vertex subset, so a class holds its size times the
+    pairs of its representative.  The scan is charged q^(n s) maps times the
+    number of classes.  Yields per chunk of maps (vf, fmats, oks): fmats is
+    (B, n, s), and oks lazily gives (rank, class size, edge-condition mask)
+    for each class in turn.
     """
     if s < 0:
         raise BadParams(f"ambient dimension must be nonnegative, got {s}")
@@ -124,14 +145,14 @@ def _pairs(g: Graph, s: int, q: int, ranks):
 
     edges = _edge_set(g)
     n = g.n
-    nforms = sum(count_symmetric_rank(s, r, q) for r in ranks)
-    stats.check(q ** (n * s) * nforms, "incidence scan")
+    classes = [(r, Q, size) for r in ranks for Q, size in _classes(s, q, r)]
     vf = VecField(make_field(q))
-    forms = [(r, _forms(s, q, r)) for r in ranks]
-    for cols in _scan(n * s, q, "incidence scan", per_row=nforms, chunk=_F_CHUNK):
+    for cols in _scan(
+        n * s, q, "incidence scan", per_row=len(classes), chunk=_F_CHUNK
+    ):
         fmats = cols.reshape(len(cols), n, s)
         oks = (
-            (r, _edge_ok(vf, fmats, Q, edges, q)) for r, mats in forms for Q in mats
+            (r, size, _edge_ok(vf, fmats, Q, edges, q)) for r, Q, size in classes
         )
         yield vf, fmats, oks
 
@@ -148,11 +169,13 @@ def _incidence_table(g: Graph, s: int, q: int) -> dict[tuple[int, int], int]:
         import numpy as np
 
         kmax = min(s, g.n)
-        hist = np.zeros((s + 1, kmax + 1), dtype=np.int64)
+        # class sizes outgrow int64, so the table holds Python integers
+        hist = np.zeros((s + 1, kmax + 1), dtype=object)
         for vf, fmats, oks in _pairs(g, s, q, range(s + 1)):
             dims = vf.rank(fmats)
-            for r, ok in oks:
-                hist[r] += np.bincount(dims[ok], minlength=kmax + 1)
+            for r, size, ok in oks:
+                spans = np.bincount(dims[ok], minlength=kmax + 1)
+                hist[r] += spans.astype(object) * size
         return {(r, k): int(hist[r, k]) for r in range(s + 1) for k in range(kmax + 1)}
 
     return stats.memoized(("A", g.key(), s, q), compute)
@@ -167,8 +190,8 @@ def _count_constrained(g: Graph, s: int, q: int, rank: int, constraints) -> int:
     total = 0
     for vf, fmats, oks in _pairs(g, s, q, (rank,)):
         want = _span_ok(vf, fmats, constraints)
-        for _, ok in oks:
-            total += int((ok & want).sum())
+        for _, size, ok in oks:
+            total += size * int((ok & want).sum())
     return total
 
 

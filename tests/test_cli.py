@@ -196,22 +196,27 @@ def test_tree_counts_check_the_budget_before_listing_trees():
         )
 
 
-def test_form_census_is_budgeted():
-    # 468 pairs fit a budget of 500, but their census of all 3^6 symmetric
-    # 3 x 3 forms does not; the refused census charges no pair
-    out = run_gm("count", "--kind", "J", "--name", "D0", "--s", "3", "--q", "3",
-                 "--budget", "500", "--stats")
-    assert out.returncode == 1
-    assert out.stdout.splitlines()[1:] == []
-    assert out.stderr.splitlines() == [
-        "q=3: symmetric form census needs 729 evaluations, budget is 500",
-        "evaluations=0",
-    ]
-    # the pair count is refused before the 3^15-form census is built
+def test_incidence_scan_is_budgeted():
+    # 3^18 maps of P3 into F_3^6 times 2 classes of invertible forms: the
+    # scan is refused before any map is decoded
     start = time.monotonic()
-    out = run_gm("count", "--kind", "J", "--name", "P3", "--s", "5", "--q", "3")
+    out = run_gm("count", "--kind", "J", "--name", "P3", "--s", "6", "--q", "3")
     assert out.returncode == 1
     assert out.stderr.startswith("q=3: incidence scan needs ")
+    assert time.monotonic() - start < 2
+
+
+def test_incidence_counts_never_list_the_forms():
+    # the empty graph has one map, scanned once per class of invertible
+    # 6 x 6 forms: no census of the 5^21 symmetric forms is built
+    start = time.monotonic()
+    out = run_gm("count", "--kind", "J", "--name", "D0", "--s", "6", "--q", "5",
+                 "--stats")
+    assert out.returncode == 0
+    assert out.stdout.splitlines()[1:] == [
+        f"q=5 count={counting.count_symmetric_rank(6, 6, 5)}"
+    ]
+    assert out.stderr == "evaluations=2\n"
     assert time.monotonic() - start < 2
 
 
@@ -334,9 +339,10 @@ def test_verify_reports_each_order(capsys):
     assert captured.out == "identity=firstred q=2 lhs=39 rhs=39 PASS\n"
     assert captured.err.startswith("q=257: ")
 
+    # at q = 3 the extended graph's scan is 3^12 maps times 2 form classes
     code = main(
         ["verify", "--identity", "Jyuck", "--name", "P3", "--s", "3", "--q", "2,3,2",
-         "--format", "json"]
+         "--budget", str(10**6), "--format", "json"]
     )
     captured = capsys.readouterr()
     assert code == 1

@@ -5,7 +5,9 @@ relating them."""
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from graphmotive import (
@@ -20,7 +22,7 @@ from graphmotive import (
     count_J_partial,
     count_K,
     count_L,
-    count_symmetric_rank,
+    counting,
     cycle,
     discrete,
     fano,
@@ -33,7 +35,14 @@ from graphmotive import (
     uniform,
     verify_identity,
 )
-from graphmotive.incidence import _sym_by_rank, count_A_slow
+from graphmotive.graphs import indices_from_mask
+from graphmotive.incidence import (
+    _classes,
+    _count_constrained,
+    _incidence_table,
+    count_A_slow,
+)
+from graphmotive.vecops import VecField, decode_assignments
 
 
 def brute_table(g, s, q):
@@ -122,6 +131,8 @@ def test_count_A_conventions():
     assert count_A(g, 2, 3, 1, 2) == 0     # rank above the ambient dimension
     assert count_A(g, 2, 1, 3, 2) == 0     # span above min(s, n)
     assert count_A(g, 0, 0, 0, 2) == 1     # the empty form and empty labeling
+    # class sizes past int64: every symmetric 4 x 4 form over F_256
+    assert sum(count_A(discrete(0), 4, r, 0, 256) for r in range(5)) == 256**10
     with pytest.raises(BadParams):
         count_A(g, -1, 0, 0, 2)
 
@@ -313,11 +324,143 @@ def test_count_J_partial_against_oracle():
     assert count_J_partial(g, 1, PartialRank(3, ((0b111, 2),)), 2) == 0
 
 
-def test_symmetric_forms_grouped_by_rank_match_closed_form():
-    for s, q in [(0, 2), (1, 3), (2, 3), (3, 3), (4, 2), (5, 2)]:
-        groups = _sym_by_rank(s, q)
+def symmetric_forms(s, q):
+    """Every symmetric s x s index matrix over F_q, with its rank."""
+    cells = [(i, j) for i in range(s) for j in range(i, s)]
+    digits = decode_assignments(0, q ** len(cells), len(cells), q)
+    forms = np.zeros((len(digits), s, s), dtype=np.uint8)
+    for pos, (i, j) in enumerate(cells):
+        forms[:, i, j] = forms[:, j, i] = digits[:, pos]
+    return forms, VecField(make_field(q)).rank(forms)
+
+
+def form_types(forms, ranks, q):
+    """The congruence invariant beside the rank.  Odd q: whether the first
+    nonsingular principal r-minor (r the rank) is a square.  Even q: whether
+    the form is alternating (zero diagonal)."""
+    s = forms.shape[1]
+    if q % 2 == 0:
+        return (forms[:, range(s), range(s)] == 0).all(axis=1)
+    field = make_field(q)
+    vf = VecField(field)
+    squares = sorted({field.mul_table[x][x] for x in range(1, q)})
+    types = np.zeros(len(forms), dtype=bool)
+    for r in range(1, s + 1):
+        sel = np.flatnonzero(ranks == r)
+        minor = np.zeros(len(sel), dtype=np.uint8)
+        for rows in itertools.combinations(range(s), r):
+            sub = forms[sel][:, rows][:, :, rows]
+            minor = np.where(minor == 0, vf.det(sub), minor)
+        assert (minor != 0).all()
+        types[sel] = np.isin(minor, squares)
+    return types
+
+
+def test_class_sizes_match_census_by_invariant():
+    for s in range(5):
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            if q ** (s * (s + 1) // 2) > 10**6:
+                continue
+            forms, ranks = symmetric_forms(s, q)
+            census = Counter(zip(ranks.tolist(), form_types(forms, ranks, q).tolist()))
+            sizes = {}
+            for r in range(s + 1):
+                for Q, size in _classes(s, q, r):
+                    Q = Q[None]
+                    rank = int(VecField(make_field(q)).rank(Q)[0])
+                    key = (rank, bool(form_types(Q, np.array([rank]), q)[0]))
+                    assert rank == r and key not in sizes, (s, q, key)
+                    sizes[key] = size
+            assert sizes == census, (s, q)
+
+
+def per_form_accepts(g, s, q):
+    """The maps f of the vertices into F_q^s, and accepts[r, j]: how many
+    symmetric forms of rank r meet every edge condition with the j-th map.
+    Scans every form against every map, element by element."""
+    vf = VecField(make_field(q))
+    forms, ranks = symmetric_forms(s, q)
+    count = q ** (g.n * s)
+    maps = decode_assignments(0, count, g.n * s, q).reshape(count, g.n, s)
+    accepts = np.zeros((s + 1, len(maps)), dtype=np.int64)
+    step = max(1, (1 << 18) // len(maps))
+    for lo in range(0, len(forms), step):
+        block = forms[lo : lo + step, None]
+        ok = np.ones((len(block), len(maps)), dtype=bool)
+        for u, v in g.edges:
+            val = np.zeros(ok.shape, dtype=np.uint8)
+            for a in range(s):
+                for b in range(s):
+                    term = vf.mul(block[:, :, a, b], maps[None, :, u, a])
+                    val = vf.add(val, vf.mul(term, maps[None, :, v, b]))
+            ok &= val == 0
+        block_ranks = ranks[lo : lo + step]
         for r in range(s + 1):
-            assert groups[r].shape == (count_symmetric_rank(s, r, q), s, s)
+            accepts[r] += ok[block_ranks == r].sum(axis=0)
+    return maps, accepts
+
+
+# (form, map) pairs the per-form oracle may scan for one case
+ORACLE_PAIRS = 2 * 10**6
+
+
+def test_class_scan_matches_per_form_scan():
+    simple = [
+        Graph(n, edges)
+        for n in range(4)
+        for k in range(n * (n - 1) // 2 + 1)
+        for edges in itertools.combinations(itertools.combinations(range(n), 2), k)
+    ]
+    cases = [
+        (g, s, q)
+        for g in simple
+        for s in range(4)
+        for q in (2, 3, 4, 5)
+        if q ** (s * (s + 1) // 2 + g.n * s) <= ORACLE_PAIRS
+    ] + [(complete(2), 4, 2)]
+    assert len(cases) == 165
+    for g, s, q in cases:
+        vf = VecField(make_field(q))
+        maps, accepts = per_form_accepts(g, s, q)
+        spans = vf.rank(maps)
+        table = _incidence_table(g, s, q)
+        assert table == {
+            (r, k): int(accepts[r][spans == k].sum())
+            for r in range(s + 1)
+            for k in range(min(s, g.n) + 1)
+        }, (g, s, q)
+        full = (1 << g.n) - 1
+        for constraints in [(), ((full, min(s, g.n)),), ((1, 0),), ((3, 1),)]:
+            if any(mask > full for mask, _ in constraints):
+                continue
+            want = np.ones(len(maps), dtype=bool)
+            for mask, need in constraints:
+                want &= vf.rank(maps[:, indices_from_mask(mask)]) == need
+            for rank in (0, s):
+                got = _count_constrained(g, s, q, rank, constraints)
+                assert got == int(accepts[rank][want].sum()), (g, s, q, constraints)
+
+
+def test_incidence_counts_build_no_form_census(monkeypatch):
+    # every incidence count scans class representatives: none of them
+    # lists the q^(s(s+1)/2) symmetric forms
+    def refuse(*args):
+        raise AssertionError("symmetric forms listed")
+
+    monkeypatch.setattr(counting, "_symmetric_batches", refuse)
+    g, q = path(3), 3
+    table = brute_table(g, 2, q)
+    for r in range(3):
+        for k in range(3):
+            assert count_A(g, 2, r, k, q) == table[(r, k)]
+    assert count_J(g, 2, q) == sum(table[(2, k)] for k in range(3))
+    assert count_K(g, 2, q) == table[(2, 2)]
+    assert count_H(g, 2, q) > 0
+    assert count_L(2, PartialRank(3, ((0b011, 1),)), q) == brute_L(
+        2, PartialRank(3, ((0b011, 1),)), q
+    )
+    pi = PartialRank(3, ((0b101, 2),))
+    assert count_J_partial(g, 2, pi, q) == brute_J_partial(g, 2, pi, q)
 
 
 def test_forest_recursion_matches_enumeration():
@@ -346,15 +489,14 @@ IDENTITY_SMOKE = [
     ("secondred", {"graph": cycle(3), "s": 2, "r": 1, "k": 1}, (2, 3)),
     ("secondred", {"graph": star(3), "s": 2, "r": 2, "k": 1}, (2, 3)),
     ("cor-secondred", {"graph": cycle(3), "s": 2, "r": 1}, (2, 3)),
-    # s = n on three vertices costs q^15 raw states; q = 3 adds nothing the
-    # cycle case above does not already cover at that field order
-    ("cor-secondred", {"graph": path(3), "s": 3, "r": 2}, (2,)),
+    ("cor-secondred", {"graph": path(3), "s": 3, "r": 2}, (2, 3)),
     ("Dreduction", {"graph": path(3), "s": 2, "r": 2, "k": 1}, (2, 3)),
-    ("yuck", {"graph": complete(2), "r": 2}, (2, 3)),
-    # the ambient dimension for this check is n+1 = 4, so the raw scan is
-    # q^26 states: fine at q = 2, beyond the default budget at q = 3
+    ("yuck", {"graph": complete(2), "r": 2}, (2, 3, 4)),
+    # the ambient dimension for this check is n+1 = 4, so the scan is q^16
+    # maps times 9 form classes: beyond the default budget at q = 3
     ("yuck", {"graph": path(3), "r": 0}, (2,)),
     ("Jyuck", {"graph": path(3), "s": 2}, (2, 3)),
+    ("Jyuck", {"graph": path(3), "s": 3}, (3,)),
     ("pi-strat", {"graph": path(3), "s": 2, "t": 1, "subset": 0b101}, (2, 3)),
     ("pi-strat", {"graph": complete(2), "s": 2, "t": 2, "subset": 0b11}, (2, 3)),
     ("grassmann-factor", {"matroid": uniform(1, 2), "s": 2}, (2, 3)),
