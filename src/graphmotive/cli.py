@@ -235,21 +235,13 @@ def _build_table(args, out_errors: list[str]) -> CountTable:
 # output helpers
 
 
-def _emit_table(table: CountTable, fmt: str, extra: dict | None = None):
+def _emit_table(table: CountTable, fmt: str):
     if fmt == "json":
-        doc = {"table": json.loads(table.to_json())}
-        if extra:
-            doc.update(extra)
-        print(json.dumps(doc, sort_keys=True))
+        print(json.dumps({"table": json.loads(table.to_json())}, sort_keys=True))
     elif fmt == "csv":
-        cols = ["q", "count"] + (list(extra) if extra else [])
-        print(",".join(cols))
+        print("q,count")
         for q in table.qs():
-            row = [str(q), str(table.counts[q])]
-            if extra:
-                for key in extra:
-                    row.append(str(extra[key].get(q, "")))
-            print(",".join(row))
+            print(f"{q},{table.counts[q]}")
     else:
         print(f"# {table.label}")
         for q in table.qs():

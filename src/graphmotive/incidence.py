@@ -128,16 +128,16 @@ def _edge_ok(vf, fmats, Q, edges, q: int):
     return ok
 
 
-def _pairs(g: Graph, s: int, q: int, ranks):
-    """Scan of the (Q, f) pairs with Q of the given ranks and f any map from
+def _pairs(g: Graph, s: int, q: int, rank: int):
+    """Scan of the (Q, f) pairs with Q of the given rank and f any map from
     the vertices into F_q^s, one form per congruence class.
 
     Q -> A^T Q A, f -> A^-1 f keeps every edge condition, the rank of Q and
     the span of every vertex subset, so a class holds its size times the
     pairs of its representative.  The scan is charged q^(n s) maps times the
     number of classes.  Yields per chunk of maps (vf, fmats, oks): fmats is
-    (B, n, s), and oks lazily gives (rank, class size, edge-condition mask)
-    for each class in turn.
+    (B, n, s), and oks lazily gives (class size, edge-condition mask) for
+    each class in turn.
     """
     if s < 0:
         raise BadParams(f"ambient dimension must be nonnegative, got {s}")
@@ -145,54 +145,33 @@ def _pairs(g: Graph, s: int, q: int, ranks):
 
     edges = _edge_set(g)
     n = g.n
-    classes = [(r, Q, size) for r in ranks for Q, size in _classes(s, q, r)]
+    classes = _classes(s, q, rank)
     vf = VecField(make_field(q))
     for cols in _scan(
         n * s, q, "incidence scan", per_row=len(classes), chunk=_F_CHUNK
     ):
         fmats = cols.reshape(len(cols), n, s)
-        oks = (
-            (r, size, _edge_ok(vf, fmats, Q, edges, q)) for r, Q, size in classes
-        )
+        oks = ((size, _edge_ok(vf, fmats, Q, edges, q)) for Q, size in classes)
         yield vf, fmats, oks
 
 
-# ---------------------------------------------------------------------------
-# the full (rank, span-dim) table for one graph and ambient dimension
-
-
-def _incidence_table(g: Graph, s: int, q: int) -> dict[tuple[int, int], int]:
-    """counts[(r, k)] over all (Q, f) pairs satisfying the edge conditions,
-    classified by the rank r of Q and the span dimension k of f."""
-
-    def compute():
-        import numpy as np
-
-        kmax = min(s, g.n)
-        # class sizes outgrow int64, so the table holds Python integers
-        hist = np.zeros((s + 1, kmax + 1), dtype=object)
-        for vf, fmats, oks in _pairs(g, s, q, range(s + 1)):
-            dims = vf.rank(fmats)
-            for r, size, ok in oks:
-                spans = np.bincount(dims[ok], minlength=kmax + 1)
-                hist[r] += spans.astype(object) * size
-        return {(r, k): int(hist[r, k]) for r in range(s + 1) for k in range(kmax + 1)}
-
-    return stats.memoized(("A", g.key(), s, q), compute)
-
-
-def _count_constrained(g: Graph, s: int, q: int, rank: int, constraints) -> int:
+def _count(g: Graph, s: int, q: int, rank: int, constraints) -> int:
     """(Q, f) pairs with Q of the given rank whose map meets every (vertex
-    mask, span dimension) requirement.  An unsatisfiable requirement gives
-    zero with no scan (a negative s goes on to _pairs, which rejects it)."""
+    mask, span dimension) requirement, memoized for the run.  An unsatisfiable
+    requirement gives zero with no scan (a negative s goes on to _pairs,
+    which rejects it)."""
     if s >= 0 and any(need > min(s, bin(mask).count("1")) for mask, need in constraints):
         return 0
-    total = 0
-    for vf, fmats, oks in _pairs(g, s, q, (rank,)):
-        want = _span_ok(vf, fmats, constraints)
-        for _, size, ok in oks:
-            total += size * int((ok & want).sum())
-    return total
+
+    def compute():
+        total = 0
+        for vf, fmats, oks in _pairs(g, s, q, rank):
+            want = _span_ok(vf, fmats, constraints)
+            for size, ok in oks:
+                total += size * int((ok & want).sum())
+        return total
+
+    return stats.memoized(("pairs", g.key(), s, q, rank, constraints), compute)
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +183,9 @@ def count_A(g: Graph, s: int, r: int, k: int, q: int) -> int:
     span dimension exactly k, every edge condition satisfied."""
     if s < 0 or r < 0 or k < 0:
         raise BadParams(f"parameters must be nonnegative, got s={s} r={r} k={k}")
-    if r > s or k > min(s, g.n):
+    if r > s:
         return 0
-    return _incidence_table(g, s, q)[(r, k)]
+    return _count(g, s, q, r, (((1 << g.n) - 1, k),))
 
 
 def count_A_slow(g: Graph, s: int, r: int, k: int, q: int) -> int:
@@ -250,9 +229,7 @@ def count_A_slow(g: Graph, s: int, r: int, k: int, q: int) -> int:
 
 def count_J(g: Graph, s: int, q: int) -> int:
     """Pairs (Q, f) with Q invertible and f unrestricted (any span)."""
-    return stats.memoized(
-        ("J", g.key(), s, q), lambda: _count_constrained(g, s, q, s, ())
-    )
+    return _count(g, s, q, s, ())
 
 
 def count_J_partial(g: Graph, s: int, pi: PartialRank, q: int) -> int:
@@ -262,7 +239,7 @@ def count_J_partial(g: Graph, s: int, pi: PartialRank, q: int) -> int:
         raise BadParams(
             f"requirements are over {pi.ground} elements, graph has {g.n} vertices"
         )
-    return _count_constrained(g, s, q, s, tuple(sorted(pi.pairs)))
+    return _count(g, s, q, s, tuple(sorted(pi.pairs)))
 
 
 def count_K(g: Graph, s: int, q: int) -> int:
@@ -281,7 +258,7 @@ def count_H(g: Graph, s: int, q: int) -> int:
 def count_L(s: int, pi: PartialRank, q: int) -> int:
     """Maps from the ground set into F_q^s with required span dimensions on
     the given subsets (no form, no edges)."""
-    return _count_constrained(Graph(pi.ground, ()), s, q, 0, pi.pairs)
+    return _count(Graph(pi.ground, ()), s, q, 0, tuple(sorted(pi.pairs)))
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,9 @@ def tree_complement_poly(g: Graph) -> MultilinearPoly:
 
 @dataclass
 class SymbolicMatrix:
-    dim: int
+    """Square matrix of polynomials in nvars variables."""
+
+    nvars: int
     entries: list[list[MultilinearPoly]] = field(repr=False)
 
     def at(self, i: int, j: int) -> MultilinearPoly:
@@ -209,7 +211,7 @@ def laplacian(g: Graph) -> SymbolicMatrix:
         entries[v][v] = entries[v][v] + x
         entries[u][v] = entries[u][v] - x
         entries[v][u] = entries[v][u] - x
-    return SymbolicMatrix(g.n, entries)
+    return SymbolicMatrix(nvars, entries)
 
 
 def reduced_laplacian(g: Graph, strike: int = 0) -> SymbolicMatrix:
@@ -221,17 +223,15 @@ def reduced_laplacian(g: Graph, strike: int = 0) -> SymbolicMatrix:
     lap = laplacian(g)
     keep = [v for v in range(g.n) if v != strike]
     entries = [[lap.at(i, j) for j in keep] for i in keep]
-    return SymbolicMatrix(g.n - 1, entries)
+    return SymbolicMatrix(g.m, entries)
 
 
 def symbolic_det(m: SymbolicMatrix) -> MultilinearPoly:
     """Exact determinant by Laplace expansion, memoized on column subsets."""
-    dim = m.dim
+    dim = len(m.entries)
     if dim > DET_LIMIT:
         raise TooLarge(f"symbolic determinant capped at dimension {DET_LIMIT}")
-    if dim == 0:
-        return MultilinearPoly.const(0, 1)
-    nvars = m.entries[0][0].nvars
+    nvars = m.nvars
     memo: dict[int, MultilinearPoly] = {}
 
     def expand(colmask: int) -> MultilinearPoly:

@@ -220,6 +220,21 @@ def test_incidence_counts_never_list_the_forms():
     assert time.monotonic() - start < 2
 
 
+def test_incidence_counts_scan_only_the_rank_they_ask_for():
+    # yuck at r = 0 needs rank-0 forms alone: 2^16 maps of P3 plus a vertex
+    # into F_2^4, and 2^9 maps of P3 into F_2^3, one zero form each, fit a
+    # budget that every rank 0..4 would overrun
+    out = run_gm("verify", "--identity", "yuck", "--name", "P3", "--r", "0",
+                 "--q", "2", "--budget", "70000", "--stats")
+    assert out.returncode == 0
+    assert "PASS" in out.stdout
+    assert out.stderr.strip().rsplit("\n", 1)[-1] == "evaluations=66048"
+    out = run_gm("count", "--kind", "H", "--name", "P3", "--s", "1", "--q", "2,3",
+                 "--stats")
+    assert out.returncode == 0
+    assert out.stderr.strip().rsplit("\n", 1)[-1] == "evaluations=39878"
+
+
 def test_stats_count_decoded_rows(capsys):
     # XG scans 3^(6 - 2) rows of K4's six edge variables; Z on P4 scans the
     # 3^5 free cells left after holding back two diagonal cells
@@ -492,6 +507,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["count", "--kind", "J", "--name", "P3", "--s", "-1", "--q", "2"],
         ["verify", "--identity", "Jyuck", "--name", "P3", "--s", "-1", "--q", "2"],
         ["count", "--kind", "L", "--pi", "3:", "--s", "-1", "--q", "2"],
+        ["count", "--kind", "L", "--pi", "3:7=0", "--s", "-1", "--q", "2"],
         # negative rank
         ["count", "--kind", "H", "--name", "P3", "--s", "-2", "--q", "2"],
         ["count", "--kind", "Zrank", "--name", "P3", "--r", "-1", "--q", "2"],

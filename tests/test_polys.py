@@ -179,10 +179,14 @@ def test_matrix_tree_strike_choice_does_not_matter():
 
 def test_duality_on_multigraphs():
     # parallel edges and loops: the complement polynomial still mirrors the
-    # tree polynomial under inverting every variable
+    # tree polynomial under inverting every variable, and the reduced
+    # Laplacian's determinant, empty on one vertex, still equals it
     for g in [
         Graph(2, ((0, 1), (0, 1))),
         Graph(3, ((0, 1), (0, 1), (1, 2))),
         Graph(2, ((0, 1), (1, 1))),
+        Graph(1, ((0, 0),)),  # C1
+        Graph(1, ((0, 0), (0, 0))),
     ]:
         assert duality_check(g)
+        assert matrix_tree_check(g)
