@@ -432,54 +432,61 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, q_required=False):
-        p.add_argument("--graph", help="edge-list file ('n m' header)")
-        p.add_argument("--g6", help="graph6 string")
-        p.add_argument("--name", help="built-in graph name (C3, K4, P3, S2, D2)")
-        p.add_argument(
-            "--matroid", help="matroid: rank-table file, 'fano', or 'U<r>,<m>'"
-        )
-        p.add_argument("--pi", help="span constraints 'ground:mask=need,...'")
-        p.add_argument("--q", required=q_required, help="comma-separated field orders")
-        p.add_argument("--s", type=int)
-        p.add_argument("--r", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--t", type=int, help="levels for the pi-strat identity")
-        p.add_argument(
-            "--subset",
-            type=lambda x: int(x, 0),
-            help="vertex-subset bitmask for the pi-strat identity",
-        )
-        p.add_argument("--identity", help="identity name for verify")
-        p.add_argument("--max-deg", type=int, dest="max_deg")
-        p.add_argument(
-            "--format", choices=("json", "csv", "text"), default="text"
-        )
+    def command(name, help_text, *formats):
+        """A subcommand with --budget and --stats, which main reads, and
+        --format when it prints results; each caller adds only the other
+        options its cmd_* reads."""
+        p = sub.add_parser(name, help=help_text)
+        if formats:
+            p.add_argument("--format", choices=(*formats, "text"), default="text")
         p.add_argument("--budget", type=int, default=None)
         p.add_argument(
             "--stats",
             action="store_true",
             help="print the enumeration counter to stderr",
         )
+        return p
 
-    p_poly = sub.add_parser("poly", help="symbolic polynomials + determinant check")
-    common(p_poly)
+    def graph_options(p):
+        p.add_argument("--graph", help="edge-list file ('n m' header)")
+        p.add_argument("--g6", help="graph6 string")
+        p.add_argument("--name", help="built-in graph name (C3, K4, P3, S2, D2)")
 
-    p_count = sub.add_parser("count", help="point-count table")
-    p_count.add_argument("--kind", required=True, choices=COUNT_KINDS)
-    common(p_count, q_required=True)
+    def input_options(p):
+        graph_options(p)
+        p.add_argument(
+            "--matroid", help="matroid: rank-table file, 'fano', or 'U<r>,<m>'"
+        )
+        p.add_argument("--pi", help="span constraints 'ground:mask=need,...'")
+        p.add_argument("--q", required=True, help="comma-separated field orders")
+        p.add_argument("--s", type=int)
+        p.add_argument("--r", type=int)
+        p.add_argument("--k", type=int)
 
-    p_verify = sub.add_parser("verify", help="check a counting identity")
-    common(p_verify, q_required=True)
-
-    p_fit = sub.add_parser("fit", help="fit an integer polynomial to counts")
-    p_fit.add_argument("--kind", required=True, choices=COUNT_KINDS)
-    common(p_fit, q_required=True)
-
-    p_ce = sub.add_parser(
-        "counterexample", help="demonstrate the non-polynomial count table"
+    graph_options(
+        command("poly", "symbolic polynomials + determinant check", "json")
     )
-    common(p_ce)
+
+    p_count = command("count", "point-count table", "json", "csv")
+    p_count.add_argument("--kind", required=True, choices=COUNT_KINDS)
+    input_options(p_count)
+
+    p_verify = command("verify", "check a counting identity", "json")
+    p_verify.add_argument("--identity", help="identity name for verify")
+    input_options(p_verify)
+    p_verify.add_argument("--t", type=int, help="levels for the pi-strat identity")
+    p_verify.add_argument(
+        "--subset",
+        type=lambda x: int(x, 0),
+        help="vertex-subset bitmask for the pi-strat identity",
+    )
+
+    p_fit = command("fit", "fit an integer polynomial to counts", "json", "csv")
+    p_fit.add_argument("--kind", required=True, choices=COUNT_KINDS)
+    input_options(p_fit)
+    p_fit.add_argument("--max-deg", type=int, dest="max_deg")
+
+    command("counterexample", "demonstrate the non-polynomial count table")
 
     return top
 

@@ -227,37 +227,28 @@ def strata_counts(g: Graph, q: int) -> Strata:
         hits = cols[_evaluate(vf, terms, cols) == 0]
         zero_sets = (hits == 0).astype(np.int64) @ weights
         counts += np.bincount(zero_sets, minlength=1 << m)
-    exact = dict(enumerate(counts.tolist()))
 
-    full = (1 << m) - 1
-    closed = {}
-    for s in range(1 << m):
-        total = 0
-        free = full & ~s
-        t = free
-        while True:
-            total += exact[s | t]
-            if t == 0:
-                break
-            t = (t - 1) & free
-        closed[s] = total
+    def superset_sums(values, sign):
+        # one edge e at a time, every S without e adds sign * values[S | e]
+        out = values.copy()
+        for e in range(m):
+            halves = out.reshape(-1, 2, 1 << e)
+            halves[:, 0] += sign * halves[:, 1]
+        return out
 
+    closed = superset_sums(counts, 1)
     # inclusion-exclusion back from closed strata to exact strata
-    for s in range(1 << m):
-        alt = 0
-        free = full & ~s
-        t = free
-        while True:
-            term = closed[s | t]
-            alt += -term if bin(t).count("1") % 2 else term
-            if t == 0:
-                break
-            t = (t - 1) & free
-        if alt != exact[s]:
-            raise AssertionError(
-                f"stratum identities disagree at subset {s:b}: {alt} != {exact[s]}"
-            )
-    return Strata(zero_on=closed, zero_exactly_on=exact)
+    back = superset_sums(closed, -1)
+    wrong = np.flatnonzero(back != counts)
+    if len(wrong):
+        s = int(wrong[0])
+        raise AssertionError(
+            f"stratum identities disagree at subset {s:b}: {back[s]} != {counts[s]}"
+        )
+    return Strata(
+        zero_on=dict(enumerate(closed.tolist())),
+        zero_exactly_on=dict(enumerate(counts.tolist())),
+    )
 
 
 def verify_contract_delete_sums(g: Graph, q: int) -> bool:
@@ -366,41 +357,30 @@ def _census_pattern(
     return counts
 
 
-def _count_full_rank_corner(
-    d: int, q: int, zero_pairs: frozenset[tuple[int, int]]
-) -> int:
-    """Nondegenerate symmetric d x d matrices over F_q with the given
-    off-diagonal zero pattern.
+def _count_full_rank(n: int, q: int, zero_pairs: frozenset[tuple[int, int]]) -> int:
+    """Nondegenerate symmetric n x n matrices over F_q (n >= 2) with the
+    given off-diagonal zero pattern.
 
-    The determinant is linear in each diagonal entry (a diagonal cell meets
-    its row and column in one place), so two diagonal cells x, y are held
-    back from the scan: evaluating the determinant at their four 0/1
-    corners recovers det = a*x*y + b*x + c*y + e exactly, and the number of
-    (x, y) pairs with a*x*y + b*x + c*y + e != 0 has a closed form
-    (_bilinear_zeros).  This cuts the scan by a factor of q^2/4 against
-    enumerating every free cell, which is what makes degree-8 count tables
-    reachable in the budget.
+    The determinant is linear in each diagonal entry, and the coefficient of
+    a diagonal cell is its principal cofactor.  So the last two diagonal
+    cells x, y are held back from the scan, and with both set to zero the
+    scanned matrix M gives det = a*x*y + b*x + c*y + e through four principal
+    minors: a on the leading n - 2 rows, b without x's row and column, c
+    without y's, e the whole of M.  _bilinear_zeros counts the (x, y) pairs
+    where that vanishes, which cuts the scan by q^2 against enumerating
+    every free cell.
     """
     from .vecops import VecField
 
-    field = make_field(q)
-    u, w = d - 2, d - 1
+    u, w = n - 2, n - 1
     held = ((u, u), (w, w))
-    cells = [c for c in _pattern_cells(d, zero_pairs) if c not in held]
-    vf = VecField(field)
-    one = field.index(field.one)
+    cells = [c for c in _pattern_cells(n, zero_pairs) if c not in held]
+    blocks = (list(range(u)), [*range(u), w], list(range(w)))
+    vf = VecField(make_field(q))
     result = 0
-    for mats in _symmetric_batches(d, q, cells, "nondegenerate pattern scan"):
-        d00 = vf.det(mats)
-        mats[:, u, u] = one
-        d10 = vf.det(mats)
-        mats[:, w, w] = one
-        d11 = vf.det(mats)
-        mats[:, u, u] = 0
-        d01 = vf.det(mats)
-        gamma = vf.sub(d01, d00)
-        alpha = vf.sub(vf.sub(d11, d10), gamma)
-        zeros = _bilinear_zeros(vf, alpha, vf.sub(d10, d00), gamma, d00, q)
+    for mats in _symmetric_batches(n, q, cells, "nondegenerate pattern scan"):
+        a, b, c = (vf.det(mats[:, keep][:, :, keep]) for keep in blocks)
+        zeros = _bilinear_zeros(vf, a, b, c, vf.det(mats), q)
         result += int((q * q - zeros).sum())
     return result
 
@@ -438,24 +418,21 @@ def _count_pattern_rank(
 
     Vertices untouched by any forced zero are completely free, so the count
     splits: enumerate the touched block, then finish each block rank with
-    the closed symmetric-extension count."""
+    the closed symmetric-extension count.  When every vertex is touched, a
+    full-rank count holds two diagonal cells back (_count_full_rank)."""
     if target < 0:
         raise BadArgs(f"rank must be nonnegative, got r={target}")
     if target > n:
         return 0
     d, mapped = _head_tail_order(n, zero_pairs)
-    if d == n:
-        # the corner scan holds back two diagonal cells, so n >= 2; above
-        # n = 4 it has not been timed against the rank census
-        if target == n and 2 <= n <= 4:
-            return _count_full_rank_corner(n, q, mapped)
-        counts = _census_pattern(n, q, mapped, rank_cap=target)
-        return counts.get(target, 0)
-    head = _census_pattern(d, q, mapped)
-    total = 0
-    for head_rank, cnt in head.items():
-        total += cnt * count_symmetric_extensions(n, target, d, head_rank, q)
-    return total
+    if target == d == n > 0:
+        return _count_full_rank(n, q, mapped)
+    # ranks clamped above target extend to none of rank target
+    head = _census_pattern(d, q, mapped, rank_cap=target)
+    return sum(
+        cnt * count_symmetric_extensions(n, target, d, head_rank, q)
+        for head_rank, cnt in head.items()
+    )
 
 
 def _edge_pairs(g: Graph) -> frozenset[tuple[int, int]]:

@@ -210,9 +210,6 @@ class FieldSpec:
             raise DivisionByZero("inverse of zero")
         return self.elements[self.inv_table[self.index(a)]]
 
-    def div(self, a: FieldElem, b: FieldElem) -> FieldElem:
-        return self.mul(a, self.inv(b))
-
     # -- numpy views of the tables --------------------------------------
 
     @property

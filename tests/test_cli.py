@@ -235,6 +235,15 @@ def test_incidence_counts_scan_only_the_rank_they_ask_for():
     assert out.stderr.strip().rsplit("\n", 1)[-1] == "evaluations=39878"
 
 
+def test_five_vertex_full_rank_holds_two_diagonal_cells_back():
+    # C5's non-edges touch every vertex, so Zo is a full-rank count on all
+    # five: 10 free cells, two of them held back, 5^8 + 7^8 rows
+    out = run_gm("count", "--kind", "Zo", "--name", "C5", "--q", "5,7", "--stats")
+    assert out.returncode == 0
+    assert out.stdout.splitlines()[1:] == ["q=5 count=7534400", "q=7 count=238700952"]
+    assert out.stderr.strip().rsplit("\n", 1)[-1] == "evaluations=6155426"
+
+
 def test_stats_count_decoded_rows(capsys):
     # XG scans 3^(6 - 2) rows of K4's six edge variables; Z on P4 scans the
     # 3^5 free cells left after holding back two diagonal cells
@@ -524,11 +533,18 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     main(["count", "--kind", "H", "--name", "P3", "--s", "-2", "--q", "2"])
     assert "s=-2" in capsys.readouterr().err
 
-    # Unknown choices are rejected by the argument parser itself.
-    with pytest.raises(SystemExit) as info:
-        main(["count", "--kind", "BOGUS", "--name", "C3", "--q", "2"])
-    capsys.readouterr()
-    assert info.value.code == 2
+    # Unknown choices, and options a subcommand does not read, are rejected
+    # by the argument parser itself.
+    for argv in (
+        ["count", "--kind", "BOGUS", "--name", "C3", "--q", "2"],
+        ["poly", "--name", "C3", "--q", "2"],
+        ["counterexample", "--name", "C3"],
+        ["verify", "--identity", "stanley-iso", "--name", "C3", "--q", "2", "--format", "csv"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        capsys.readouterr()
+        assert info.value.code == 2, argv
 
 
 def test_dispatch_sees_a_command_replaced_after_the_first_call(monkeypatch, capsys):

@@ -11,6 +11,7 @@ import importlib
 import inspect
 import itertools
 import pkgutil
+import time
 
 import pytest
 
@@ -52,7 +53,7 @@ from graphmotive import (
 )
 from graphmotive.counting import (
     _census_pattern,
-    _count_full_rank_corner,
+    _count_full_rank,
     _edge_pairs,
     extension_support,
 )
@@ -229,6 +230,18 @@ def test_strata_counts_consistency():
         strata_counts(long_path, 2)
 
 
+def test_strata_subset_sums_are_not_the_bottleneck():
+    # K6 has 15 edges: the 2^15-point scan is cheap, so the bound holds only
+    # while the closed strata and their inclusion-exclusion check take m
+    # transform steps over 2^m subsets, not 3^m subset pairs
+    g, q = complete(6), 2
+    start = time.perf_counter()
+    st = strata_counts(g, q)
+    assert time.perf_counter() - start < 5.0
+    total_zeros = q**g.m - count_tree_support(g, q)
+    assert st.zero_on[0] == sum(st.zero_exactly_on.values()) == total_zeros
+
+
 def strata_oracle(g, q):
     """Zero points of the spanning-tree polynomial by exact zero set,
     one element-level evaluation per point."""
@@ -324,15 +337,19 @@ def test_pattern_census_against_element_oracle():
 
 
 def test_corner_full_rank_shortcut_against_census():
-    # the held-out-diagonal evaluation path must agree with the plain scan
-    # for every zero pattern it is eligible for
+    # the held-out-diagonal path must agree with the plain scan for every
+    # zero pattern at every size; one in eight of the five-vertex patterns
+    # at q=2 (all 1024 take ~6 s) covers a size above 4
     for d in (2, 3, 4):
         for q in (2, 3, 4):
             if (d, q) == (4, 4):
-                continue  # covered at q=2,3; the q=4 scan alone costs ~30 s
+                continue  # covered at q=2,3; the q=4 census alone costs ~11 s
             for pattern in all_patterns(d):
                 full = _census_pattern(d, q, pattern).get(d, 0)
-                assert _count_full_rank_corner(d, q, pattern) == full
+                assert _count_full_rank(d, q, pattern) == full
+    for pattern in itertools.islice(all_patterns(5), 0, None, 8):
+        full = _census_pattern(5, 2, pattern).get(5, 0)
+        assert _count_full_rank(5, 2, pattern) == full
 
 
 def test_blocked_and_supported_counts():

@@ -69,8 +69,6 @@ def test_multiplicative_group_axioms():
                 assert field.mul(a, field.inv(a)) == field.one
             for b in elems:
                 assert field.mul(a, b) == field.mul(b, a)
-                if b != field.zero:
-                    assert field.div(a, b) == field.mul(a, field.inv(b))
 
 
 def test_associativity_and_distributivity_triples():
