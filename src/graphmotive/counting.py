@@ -126,37 +126,59 @@ def _bilinear_zeros(vf, a, b, c, e, q: int):
     ).astype(np.int64)
 
 
+def _multilinear_zeros(vf, coef, q: int) -> int:
+    """Zeros in F_q^k, summed over the rows, of the multilinear polynomials
+    whose coefficients (field indices) are the rows of the (B, 2^k) array
+    coef, column S holding the coefficient of the monomial with variable
+    set S (bit v for variable v), k >= 2.
+
+    The first k - 2 variables are substituted one at a time: for each of
+    the q values d of variable 0, coef'[S] = coef[S] + d * coef[S | 1]
+    over the S without it, so each step multiplies the rows by q and halves
+    the terms.  _bilinear_zeros counts the last two variables.
+    """
+    import numpy as np
+
+    values = np.arange(q, dtype=np.uint8)[None, :, None]
+    while coef.shape[1] > 4:
+        terms = coef.shape[1] // 2
+        without, with_v = coef[:, None, 0::2], coef[:, None, 1::2]
+        coef = vf.add(without, vf.mul(with_v, values)).reshape(-1, terms)
+    e, b, c, a = coef.T
+    return int(_bilinear_zeros(vf, a, b, c, e, q).sum())
+
+
 def count_zeros(poly: MultilinearPoly, q: int) -> int:
     """Number of points of F_q^nvars where the polynomial vanishes.
 
     The polynomial is multilinear, so in its last two variables x, y it reads
     a*x*y + b*x + c*y + e with a, b, c, e polynomials in the others: only the
-    other variables are scanned, and _bilinear_zeros counts the (x, y) pairs.
-    Fewer than two variables are padded with unused ones, which multiply the
-    count by q each.  The scan, q^(max(nvars, 2) - 2) rows, is what the
-    ledger charges.
+    other variables are scanned, and _multilinear_zeros counts the (x, y)
+    pairs.  Fewer than two variables are padded with unused ones, which
+    multiply the count by q each.  The scan, q^(max(nvars, 2) - 2) rows, is
+    what the ledger charges.
     """
+    import numpy as np
+
     from .vecops import VecField
 
     field = make_field(q)
     nvars = poly.nvars
     n = max(nvars, 2)
     x, y = n - 2, n - 1
-    # monomials by whether they hold x and y: coefficients of xy, x, y, 1
-    parts = {key: [] for key in ((1, 1), (1, 0), (0, 1), (0, 0))}
+    # monomials by which of x (bit 0) and y (bit 1) they hold: the
+    # coefficients of 1, x, y and xy
+    split = [[] for _ in range(4)]
     for mask, coeff in poly.terms.items():
-        key = (mask >> x & 1, mask >> y & 1)
-        parts[key].append((mask & ~(1 << x | 1 << y), coeff))
-    a, b, c, e = (_index_terms(field, part) for part in parts.values())
+        held = mask >> x & 1 | (mask >> y & 1) << 1
+        split[held].append((mask & ~(1 << x | 1 << y), coeff))
+    parts = [_index_terms(field, part) for part in split]
 
     vf = VecField(field)
     zeros = 0
     for cols in _scan(n - 2, q, "polynomial zero scan"):
-        zeros += int(
-            _bilinear_zeros(
-                vf, *(_evaluate(vf, part, cols) for part in (a, b, c, e)), q
-            ).sum()
-        )
+        coef = np.stack([_evaluate(vf, part, cols) for part in parts], axis=1)
+        zeros += _multilinear_zeros(vf, coef, q)
     pad = q ** (n - nvars)
     assert zeros % pad == 0
     return zeros // pad
@@ -303,10 +325,13 @@ def _pattern_cells(n: int, zero_pairs: frozenset[tuple[int, int]]):
     return cells
 
 
-def _symmetric_batches(d: int, q: int, cells, what: str):
+def _symmetric_batches(
+    d: int, q: int, cells, what: str, per_row=1, chunk=_VECTOR_CHUNK
+):
     """Every assignment of F_q indices to the given upper-triangle cells, as
     (B, d, d) uint8 chunks of symmetric matrices with every other cell zero,
-    in the digit order of decode_assignments; charged as one _scan."""
+    in the digit order of decode_assignments; charged as one _scan, with its
+    per_row and chunk."""
     import numpy as np
 
     def fill(cols):
@@ -316,7 +341,7 @@ def _symmetric_batches(d: int, q: int, cells, what: str):
             mats[:, j, i] = cols[:, pos]
         return mats
 
-    return map(fill, _scan(len(cells), q, what))
+    return map(fill, _scan(len(cells), q, what, per_row, chunk))
 
 
 def _head_tail_order(n: int, zero_pairs: frozenset[tuple[int, int]]):
@@ -361,27 +386,33 @@ def _count_full_rank(n: int, q: int, zero_pairs: frozenset[tuple[int, int]]) -> 
     """Nondegenerate symmetric n x n matrices over F_q (n >= 2) with the
     given off-diagonal zero pattern.
 
-    The determinant is linear in each diagonal entry, and the coefficient of
-    a diagonal cell is its principal cofactor.  So the last two diagonal
-    cells x, y are held back from the scan, and with both set to zero the
-    scanned matrix M gives det = a*x*y + b*x + c*y + e through four principal
-    minors: a on the leading n - 2 rows, b without x's row and column, c
-    without y's, e the whole of M.  _bilinear_zeros counts the (x, y) pairs
-    where that vanishes, which cuts the scan by q^2 against enumerating
-    every free cell.
+    Write the matrix as D + N, D its diagonal d_0..d_{n-1} and N the rest.
+    The determinant is multilinear in the d_i:
+    det(D + N) = sum over S of prod_{i in S} d_i * det(N[complement of S]).
+    So only N's free cells are scanned; the 2^n principal minors of each N
+    are the coefficients of a polynomial in every diagonal cell, and
+    _multilinear_zeros counts the diagonals where it vanishes.  The unit
+    is q^(n-2) folded diagonal values per decoded N, q^(cells - 2) in all.
     """
+    import numpy as np
+
     from .vecops import VecField
 
-    u, w = n - 2, n - 1
-    held = ((u, u), (w, w))
-    cells = [c for c in _pattern_cells(n, zero_pairs) if c not in held]
-    blocks = (list(range(u)), [*range(u), w], list(range(w)))
+    cells = [(i, j) for i, j in _pattern_cells(n, zero_pairs) if i != j]
+    full = (1 << n) - 1
     vf = VecField(make_field(q))
+    fold = q ** (n - 2)
+    batches = _symmetric_batches(
+        n, q, cells, "nondegenerate pattern scan",
+        per_row=fold, chunk=max(1, _VECTOR_CHUNK // fold),
+    )
     result = 0
-    for mats in _symmetric_batches(n, q, cells, "nondegenerate pattern scan"):
-        a, b, c = (vf.det(mats[:, keep][:, :, keep]) for keep in blocks)
-        zeros = _bilinear_zeros(vf, a, b, c, vf.det(mats), q)
-        result += int((q * q - zeros).sum())
+    for mats in batches:
+        coef = np.empty((len(mats), 1 << n), dtype=np.uint8)
+        for keep in range(1 << n):
+            rows = indices_from_mask(keep)
+            coef[:, full ^ keep] = vf.det(mats[:, rows][:, :, rows])
+        result += len(mats) * q**n - _multilinear_zeros(vf, coef, q)
     return result
 
 
@@ -419,7 +450,8 @@ def _count_pattern_rank(
     Vertices untouched by any forced zero are completely free, so the count
     splits: enumerate the touched block, then finish each block rank with
     the closed symmetric-extension count.  When every vertex is touched, a
-    full-rank count holds two diagonal cells back (_count_full_rank)."""
+    full-rank count scans the off-diagonal cells and holds every diagonal
+    cell back (_count_full_rank)."""
     if target < 0:
         raise BadArgs(f"rank must be nonnegative, got r={target}")
     if target > n:

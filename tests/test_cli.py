@@ -235,9 +235,10 @@ def test_incidence_counts_scan_only_the_rank_they_ask_for():
     assert out.stderr.strip().rsplit("\n", 1)[-1] == "evaluations=39878"
 
 
-def test_five_vertex_full_rank_holds_two_diagonal_cells_back():
+def test_five_vertex_full_rank_folds_every_diagonal_cell():
     # C5's non-edges touch every vertex, so Zo is a full-rank count on all
-    # five: 10 free cells, two of them held back, 5^8 + 7^8 rows
+    # five: its 5 free off-diagonal cells are decoded and its 5 diagonal
+    # cells folded, q^5 matrices times q^3 folded values, 5^8 + 7^8 in all
     out = run_gm("count", "--kind", "Zo", "--name", "C5", "--q", "5,7", "--stats")
     assert out.returncode == 0
     assert out.stdout.splitlines()[1:] == ["q=5 count=7534400", "q=7 count=238700952"]
@@ -245,8 +246,9 @@ def test_five_vertex_full_rank_holds_two_diagonal_cells_back():
 
 
 def test_stats_count_decoded_rows(capsys):
-    # XG scans 3^(6 - 2) rows of K4's six edge variables; Z on P4 scans the
-    # 3^5 free cells left after holding back two diagonal cells
+    # XG scans 3^(6 - 2) rows of K4's six edge variables; Z on P4 decodes
+    # its 3 free off-diagonal cells and charges each decoded matrix for
+    # 3^(4 - 2) folded diagonal values: 3^3 * 3^2 = 3^5
     for kind, name, rows in (("XG", "K4", 81), ("Z", "P4", 243)):
         code = main(["count", "--kind", kind, "--name", name, "--q", "3", "--stats"])
         assert code == 0

@@ -13,6 +13,7 @@ import itertools
 import pkgutil
 import time
 
+import numpy as np
 import pytest
 
 from graphmotive import (
@@ -52,12 +53,15 @@ from graphmotive import (
     verify_free_vertex_extension,
 )
 from graphmotive.counting import (
+    _VECTOR_CHUNK,
     _census_pattern,
     _count_full_rank,
     _edge_pairs,
+    _multilinear_zeros,
     extension_support,
 )
 from graphmotive.polys import evaluate
+from graphmotive.vecops import VecField
 
 
 def zeros_oracle(poly, q):
@@ -89,6 +93,39 @@ def test_count_zeros_against_evaluation_oracle():
     for poly, q_list in cases:
         for q in q_list:
             assert count_zeros(poly, q) == zeros_oracle(poly, q)
+
+
+def multilinear_zeros_oracle(field, row, k):
+    """Zeros in F_q^k of sum over S of row[S] * prod_{v in S} x_v, with the
+    coefficients given as field indices, by evaluation at every point."""
+    coeffs = [field.element(int(c)) for c in row]
+    zeros = 0
+    for point in itertools.product(field.elements, repeat=k):
+        monomials = [field.one]
+        for x in point:  # the monomials without x, then each of them times x
+            monomials += [field.mul(m, x) for m in monomials]
+        total = field.zero
+        for c, m in zip(coeffs, monomials):
+            total = field.add(total, field.mul(c, m))
+        zeros += total == field.zero
+    return zeros
+
+
+def test_multilinear_zeros_against_evaluation_oracle():
+    rng = np.random.default_rng(12)
+    for k in (2, 3, 4, 5):
+        for q in (2, 3, 4, 5):
+            field = make_field(q)
+            vf = VecField(field)
+            coef = rng.integers(0, q, size=(6, 1 << k), dtype=np.uint8)
+            coef[0] = 0  # every point is a zero
+            coef[1:3, 1:] = 0  # constants: no zeros, then every point
+            coef[1:3, 0] = (1, 0)
+            coef[3, : 1 << (k - 1)] = 0  # every monomial holds the last variable
+            want = [multilinear_zeros_oracle(field, row, k) for row in coef]
+            for row, zeros in zip(coef, want):
+                assert _multilinear_zeros(vf, row[None], q) == zeros, (k, q, row)
+            assert _multilinear_zeros(vf, coef, q) == sum(want), (k, q)
 
 
 def test_count_zeros_budget_and_stats():
@@ -336,20 +373,33 @@ def test_pattern_census_against_element_oracle():
                 )
 
 
-def test_corner_full_rank_shortcut_against_census():
-    # the held-out-diagonal path must agree with the plain scan for every
-    # zero pattern at every size; one in eight of the five-vertex patterns
-    # at q=2 (all 1024 take ~6 s) covers a size above 4
+def test_full_rank_count_against_census():
+    # the off-diagonal scan with every diagonal cell folded must agree with
+    # the plain rank census for every zero pattern at every size; one in
+    # eight of the five-vertex patterns at q=2 covers a size above 4
     for d in (2, 3, 4):
         for q in (2, 3, 4):
-            if (d, q) == (4, 4):
-                continue  # covered at q=2,3; the q=4 census alone costs ~11 s
             for pattern in all_patterns(d):
                 full = _census_pattern(d, q, pattern).get(d, 0)
                 assert _count_full_rank(d, q, pattern) == full
     for pattern in itertools.islice(all_patterns(5), 0, None, 8):
         full = _census_pattern(5, 2, pattern).get(5, 0)
         assert _count_full_rank(5, 2, pattern) == full
+
+
+def test_full_rank_count_in_shrunken_chunks():
+    # q^(n-2) diagonal values are folded per decoded matrix, so a chunk
+    # decodes about _VECTOR_CHUNK / q^(n-2) matrices: two chunks at q=13,
+    # three matrices a chunk at q=41.  Block-diagonal patterns factor into
+    # closed counts: free 2x2 blocks times nonzero 1x1 blocks.
+    for q, blocks, singles in ((13, ((0, 1), (2, 3)), 1), (41, ((0, 1),), 3)):
+        want = count_symmetric_rank(2, 2, q) ** len(blocks) * (q - 1) ** singles
+        fold = q**3
+        zero_pairs = frozenset(itertools.combinations(range(5), 2)) - set(blocks)
+        assert q ** len(blocks) > _VECTOR_CHUNK // fold  # more than one chunk
+        stats.reset()
+        assert _count_full_rank(5, q, zero_pairs) == want, q
+        assert stats.evaluations == q ** len(blocks) * fold
 
 
 def test_blocked_and_supported_counts():
