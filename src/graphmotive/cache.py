@@ -37,7 +37,6 @@ class CountCache:
 
     hits: int = 0
     misses: int = 0
-    writes: int = 0
 
     @staticmethod
     def open(directory: str | None = None) -> "CountCache":
@@ -103,4 +102,3 @@ class CountCache:
             except ImportError:  # non-POSIX: best effort append
                 fh.write(line + "\n")
         self.entries[key] = value
-        self.writes += 1

@@ -22,7 +22,6 @@ from .errors import (
     BadParams,
     BudgetExceeded,
     GraphMotiveError,
-    InsufficientPoints,
     NotPrimePower,
     NotSimple,
     ParseError,
@@ -106,7 +105,10 @@ def _load_matroid(args) -> matroids.Matroid:
             return matroids.uniform(int(r_txt), int(m_txt))
         except ValueError as exc:
             raise ParseError(f"bad uniform-matroid argument {text!r}") from exc
-    return matroids.matroid_from_text(_read_input(s))
+    try:
+        return matroids.matroid_from_text(_read_input(s))
+    except TooLarge as exc:  # a file over a structural cap is a usage error
+        raise ParseError(str(exc)) from exc
 
 
 def _parse_partial(text: str) -> PartialRank:
@@ -502,7 +504,7 @@ def main(argv=None) -> int:
     except (ParseError, BadParams, NotPrimePower, NotSimple) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceeded, InsufficientPoints, GraphMotiveError) as exc:
+    except GraphMotiveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 1
     finally:

@@ -207,12 +207,6 @@ class Graph:
         )
         return Graph(len(roots), new_edges)
 
-    def relabel(self, perm) -> "Graph":
-        """Apply a vertex permutation; perm[v] is the new index of v."""
-        if sorted(perm) != list(range(self.n)):
-            raise BadParams("not a permutation of the vertex set")
-        return Graph(self.n, tuple((perm[u], perm[v]) for u, v in self.edges))
-
 
 # -- named constructors ------------------------------------------------------
 

@@ -59,19 +59,6 @@ class Matroid:
                 out |= bit
         return out
 
-    def relabel(self, perm: list[int]) -> "Matroid":
-        """Matroid with ground element perm[e] playing the role of e."""
-        if sorted(perm) != list(range(self.m)):
-            raise BadParams(f"not a permutation of 0..{self.m - 1}: {perm}")
-        new = [0] * (1 << self.m)
-        for mask in range(1 << self.m):
-            img = 0
-            for e in range(self.m):
-                if mask & (1 << e):
-                    img |= 1 << perm[e]
-            new[img] = self.ranks[mask]
-        return Matroid(self.m, tuple(new))
-
 
 @dataclass(frozen=True)
 class PartialRank:
@@ -442,7 +429,6 @@ class VonStaudtReport:
     q: int
     pairs_checked: int
     failures: list
-    skipped: list
 
     def __bool__(self) -> bool:
         return not self.failures
@@ -454,9 +440,9 @@ def von_staudt_check(field: FieldSpec) -> VonStaudtReport:
     against the field's own arithmetic for every pair of scalars.
 
     Points and lines are index triples; joins and meets are cross products.
-    A degenerate instance (coincident points or lines, which the
-    constructions never produce from a proper frame) is recorded as skipped
-    rather than failed.
+    The frame is asserted; from it every join is of two distinct points, so
+    a degenerate step (a zero triple) only comes from broken field tables,
+    and it ends in a recorded failure like any other wrong answer.
     """
     if field.q > 9:
         raise TooLarge(f"gadget check capped at q = 9, got {field.q}")
@@ -474,14 +460,17 @@ def von_staudt_check(field: FieldSpec) -> VonStaudtReport:
             sub(mul[a[0]][b[1]], mul[a[1]][b[0]]),
         )
 
+    join = meet = cross  # the line through two points, the point on two lines
+
     def normalize(p):
         # scale so the last nonzero coordinate becomes 1; affine points
-        # (x, 0, 1) then compare literally against embed()
+        # (x, 0, 1) then compare literally against embed(); the zero triple
+        # stays as it is
         for c in reversed(p):
             if c != 0:
                 scale = mul[field.inv_table[c]]
                 return tuple(scale[x] for x in p)
-        return None
+        return p
 
     one = field.index(field.one)
     e1 = (one, 0, 0)
@@ -489,116 +478,50 @@ def von_staudt_check(field: FieldSpec) -> VonStaudtReport:
     e3 = (0, 0, one)
     u = (one, one, one)
 
-    skipped: list = []
-    failures: list = []
-
-    def join(p, pp, tag):
-        if p == pp:
-            skipped.append((tag, "coincident points"))
-            return None
-        out = cross(p, pp)
-        if out == (0, 0, 0):
-            skipped.append((tag, "dependent points"))
-            return None
-        return out
-
-    meet = join  # same cross product, lines for points
-
-    xaxis = join(e3, e1, "frame")
-    horizon = join(u, e1, "frame")
-    yaxis = join(e3, e2, "frame")
-    infline = join(e1, e2, "frame")
-    a1 = normalize(meet(horizon, yaxis, "frame"))
-    unitx = normalize(meet(xaxis, join(u, e2, "frame"), "frame"))
+    xaxis = join(e3, e1)
+    horizon = join(u, e1)
+    yaxis = join(e3, e2)
+    infline = join(e1, e2)
+    a1 = normalize(meet(horizon, yaxis))
+    unitx = normalize(meet(xaxis, join(u, e2)))
     assert a1 == (0, one, one) and unitx == (one, 0, one)
 
     def embed(x: int):
         return (x, 0, one)
 
     def run_add(x: int, xp: int):
-        tag = ("add", x, xp)
-        p, pp = embed(x), embed(xp)
-        vert = join(pp, e2, tag)
-        if vert is None:
-            return None
-        b = meet(horizon, vert, tag)
-        line_m = join(a1, p, tag)
-        if b is None or line_m is None:
-            return None
-        minf = meet(line_m, infline, tag)
-        if minf is None:
-            return None
-        bp = normalize(b)
-        minfp = normalize(minf)
-        line_mp = join(bp, minfp, tag)
-        if line_mp is None:
-            return None
-        out = meet(line_mp, xaxis, tag)
-        return None if out is None else normalize(out)
+        b = meet(horizon, join(embed(xp), e2))
+        minf = meet(join(a1, embed(x)), infline)
+        line_mp = join(normalize(b), normalize(minf))
+        return normalize(meet(line_mp, xaxis))
 
     def run_neg(x: int):
-        tag = ("neg", x)
-        p = embed(x)
-        d = join(p, a1, tag)
-        if d is None:
-            return None
-        dinf = meet(d, infline, tag)
-        if dinf is None:
-            return None
-        g = join(e3, normalize(dinf), tag)
-        if g is None:
-            return None
-        h = meet(g, horizon, tag)
-        if h is None:
-            return None
-        vert = join(normalize(h), e2, tag)
-        if vert is None:
-            return None
-        out = meet(vert, xaxis, tag)
-        return None if out is None else normalize(out)
+        dinf = meet(join(embed(x), a1), infline)
+        h = meet(join(e3, normalize(dinf)), horizon)
+        return normalize(meet(join(normalize(h), e2), xaxis))
 
     def run_mul(x: int, xp: int):
-        tag = ("mul", x, xp)
-        j = join(unitx, a1, tag)
-        if j is None:
-            return None
-        jinf = meet(j, infline, tag)
-        if jinf is None:
-            return None
-        through = join(embed(xp), normalize(jinf), tag)
-        if through is None:
-            return None
-        yp = meet(through, yaxis, tag)
-        if yp is None:
-            return None
-        k = join(a1, embed(x), tag)
-        if k is None:
-            return None
-        kinf = meet(k, infline, tag)
-        if kinf is None:
-            return None
-        final = join(normalize(yp), normalize(kinf), tag)
-        if final is None:
-            return None
-        out = meet(final, xaxis, tag)
-        return None if out is None else normalize(out)
+        jinf = meet(join(unitx, a1), infline)
+        yp = meet(join(embed(xp), normalize(jinf)), yaxis)
+        kinf = meet(join(a1, embed(x)), infline)
+        final = join(normalize(yp), normalize(kinf))
+        return normalize(meet(final, xaxis))
 
+    failures: list = []
     pairs = 0
     for x in range(field.q):
         got = run_neg(x)
-        if got is not None and got != embed(neg[x]):
+        if got != embed(neg[x]):
             failures.append((("neg", x), got, embed(neg[x])))
         for xp in range(field.q):
             pairs += 1
             got = run_add(x, xp)
-            if got is not None and got != embed(add[x][xp]):
+            if got != embed(add[x][xp]):
                 failures.append((("add", x, xp), got, embed(add[x][xp])))
             got = run_mul(x, xp)
-            if got is not None and got != embed(mul[x][xp]):
+            if got != embed(mul[x][xp]):
                 failures.append((("mul", x, xp), got, embed(mul[x][xp])))
-    return VonStaudtReport(
-        q=field.q, pairs_checked=pairs, failures=failures, skipped=skipped
-    )
+    return VonStaudtReport(q=field.q, pairs_checked=pairs, failures=failures)
 
 
 # ---------------------------------------------------------------------------

@@ -32,43 +32,11 @@ class IntPoly:
                 raise BadParams(f"coefficients must be integers, got {c!r}")
         object.__setattr__(self, "coeffs", tuple(trimmed))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def evaluate(self, x):
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(
-            tuple(
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(n)
-            )
-        )
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        if self.is_zero() or other.is_zero():
-            return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPoly(tuple(out))
 
     def format(self, var: str = "q") -> str:
         if not self.coeffs:
@@ -88,14 +56,6 @@ class IntPoly:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-    @staticmethod
-    def constant(c: int) -> "IntPoly":
-        return IntPoly((c,))
-
-    @staticmethod
-    def variable() -> "IntPoly":
-        return IntPoly((0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -92,9 +92,6 @@ class MultilinearPoly:
                     out.pop(mask, None)
         return MultilinearPoly(self.nvars, out)
 
-    def scale(self, c: int) -> "MultilinearPoly":
-        return MultilinearPoly(self.nvars, {m: c * v for m, v in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultilinearPoly)

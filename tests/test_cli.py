@@ -493,6 +493,16 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         path = tmp_path / f"not_matroid_{i}.txt"
         path.write_text(text)
         not_matroids.append(str(path))
+    # files over a structural cap: 13 elements, 17 columns, no field of order 257
+    over_cap = []
+    for i, text in enumerate([
+        "13\n" + " ".join(str(min(1, bin(x).count("1"))) for x in range(1 << 13)) + "\n",
+        "vector 2 17 1\n" + "1\n" * 17,
+        "vector 257 2 2\n0 1\n1 0\n",
+    ]):
+        path = tmp_path / f"over_cap_{i}.txt"
+        path.write_text(text)
+        over_cap.append(str(path))
     bad_invocations = [
         ["count", "--kind", "YG", "--graph", str(tmp_path), "--q", "2"],
         ["count", "--kind", "YG", "--graph", str(not_utf8), "--q", "2"],
@@ -523,6 +533,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["count", "--kind", "H", "--name", "P3", "--s", "-2", "--q", "2"],
         ["count", "--kind", "Zrank", "--name", "P3", "--r", "-1", "--q", "2"],
         *(["count", "--kind", "XM", "--matroid", path, "--q", "2"] for path in not_matroids),
+        *(["count", "--kind", "XM", "--matroid", path, "--q", "2"] for path in over_cap),
         ["verify", "--identity", "grassmann-factor", "--matroid", not_matroids[0], "--s", "6", "--q", "2"],
     ]
     for argv in bad_invocations:

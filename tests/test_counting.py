@@ -86,7 +86,8 @@ def test_count_zeros_against_evaluation_oracle():
         (spanning_tree_poly(complete(4)), (2, 3)),
         (
             MultilinearPoly.variable(3, 0) * MultilinearPoly.variable(3, 1)
-            - MultilinearPoly.variable(3, 2).scale(2),
+            - MultilinearPoly.variable(3, 2)
+            - MultilinearPoly.variable(3, 2),
             (2, 3, 4, 5, 9),
         ),
     ]

@@ -179,19 +179,6 @@ def test_contract_keeps_loops_and_parallels():
     assert tri.contract(0).key() == tri.key()
 
 
-def test_relabel_is_a_group_action():
-    g = Graph(4, ((0, 1), (1, 2), (2, 3)))
-    ident = [0, 1, 2, 3]
-    assert g.relabel(ident).key() == g.key()
-    perm = [3, 2, 1, 0]
-    assert g.relabel(perm).key() == g.key()  # path reversal is an automorphism
-    rot = [1, 2, 3, 0]
-    back = [3, 0, 1, 2]
-    assert g.relabel(rot).relabel(back).key() == g.key()
-    with pytest.raises(BadParams):
-        g.relabel([0, 0, 1, 2])
-
-
 def test_edge_list_round_trip_and_errors():
     for g in [cycle(3), complete(4), Graph(3, ((0, 0), (0, 1), (0, 1))), discrete(2)]:
         assert parse_edge_list(format_edge_list(g)).key() == g.key()

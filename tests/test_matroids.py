@@ -3,6 +3,7 @@ projective-plane arithmetic gadgets."""
 
 from __future__ import annotations
 
+import copy
 import itertools
 
 import pytest
@@ -148,22 +149,6 @@ def test_fano_is_the_binary_projective_plane():
             assert f.rank_of(mask) == 3
 
 
-def test_relabel_symmetry():
-    # any permutation fixes a uniform matroid
-    m = uniform(2, 4)
-    for perm in itertools.permutations(range(4)):
-        assert m.relabel(list(perm)) == m
-    # swapping the first two coordinate bits of the point labels is a
-    # linear automorphism of the seven-point plane
-    f = fano()
-    swap = [1, 0, 2, 3, 5, 4, 6]
-    assert f.relabel(swap) == f
-    # an arbitrary transposition is not: it breaks some line
-    assert f.relabel([1, 0, 2, 3, 4, 5, 6]) != f
-    with pytest.raises(BadParams):
-        f.relabel([0] * 7)
-
-
 def test_partial_rank_validation():
     PartialRank(3, ((0b101, 2), (0b010, 1)))
     with pytest.raises(BadParams):
@@ -305,3 +290,31 @@ def test_von_staudt_constructions():
         assert bool(report)
         assert report.failures == []
         assert report.pairs_checked > 0
+
+
+def test_von_staudt_check_reports_a_broken_table():
+    # F_5 with 2*3 = 3*2 = 4 in place of 1. The gadget's own cross products
+    # run through the broken entries, so it misses the table at all four
+    # pairs of factors from {2, 3}, 2*2 and 3*3 included; nothing raises.
+    field = copy.copy(make_field(5))
+    mul = [list(row) for row in field.mul_table]
+    mul[2][3] = mul[3][2] = 4
+    field.mul_table = mul
+    report = von_staudt_check(field)
+    assert not report
+    assert report.pairs_checked == 25
+    assert sorted(f[0] for f in report.failures) == [
+        ("mul", 2, 2),
+        ("mul", 2, 3),
+        ("mul", 3, 2),
+        ("mul", 3, 3),
+    ]
+    # F_5 with 4 + 0 = 0: the frame still stands, but 28 gadget runs
+    # collapse to the zero triple; each is a recorded failure, not a skip
+    field = copy.copy(make_field(5))
+    add = [list(row) for row in field.add_table]
+    add[4][0] = 0
+    field.add_table = add
+    report = von_staudt_check(field)
+    assert (("neg", 0), (0, 0, 0), (0, 0, 1)) in report.failures
+    assert sum(got == (0, 0, 0) for _, got, _ in report.failures) == 28
