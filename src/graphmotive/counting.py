@@ -59,9 +59,9 @@ stats = Ledger()
 
 
 def _scan(positions: int, q: int, what: str, per_row=1, chunk=_VECTOR_CHUNK):
-    """Charges rows * per_row for the q^positions assignments of F_q indices
-    to the positions, then lazily yields them as decode_assignments chunks
-    of at most `chunk` rows."""
+    """Charges rows * per_row for the q^positions assignments of digits
+    0 .. q-1 (F_q indices, or any other radix) to the positions, then lazily
+    yields them as decode_assignments chunks of at most `chunk` rows."""
     from .vecops import decode_assignments
 
     total = q**positions

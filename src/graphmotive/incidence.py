@@ -128,16 +128,39 @@ def _edge_ok(vf, fmats, Q, edges, q: int):
     return ok
 
 
+def _points(pidx, s: int, q: int, one: int):
+    """The vectors of F_q^s (field indices, one trailing axis of length s)
+    of the projective point indices pidx: 0 is the zero vector, and for
+    m = 0 .. s-1 the next q^m indices are the vectors with leading one at
+    position s-1-m, their m trailing entries the base-q digits of the offset
+    into that block (least significant last)."""
+    import numpy as np
+
+    starts = np.array([1 + (q**m - 1) // (q - 1) for m in range(s + 1)])
+    m = np.searchsorted(starts, pidx, side="right") - 1  # -1: the zero vector
+    t = np.where(m >= 0, pidx - starts[np.maximum(m, 0)], 0)
+    out = np.zeros(pidx.shape + (s,), dtype=np.uint8)
+    for pos in range(s - 1, -1, -1):
+        out[..., pos] = t % q
+        t //= q
+    out[np.arange(s) == (s - 1 - m)[..., None]] = one
+    return out
+
+
 def _pairs(g: Graph, s: int, q: int, rank: int):
     """Scan of the (Q, f) pairs with Q of the given rank and f any map from
-    the vertices into F_q^s, one form per congruence class.
+    the vertices into F_q^s, one form per congruence class and one point of
+    P^(s-1), or the zero vector, per vertex.
 
     Q -> A^T Q A, f -> A^-1 f keeps every edge condition, the rank of Q and
     the span of every vertex subset, so a class holds its size times the
-    pairs of its representative.  The scan is charged q^(n s) maps times the
-    number of classes.  Yields per chunk of maps (vf, fmats, oks): fmats is
-    (B, n, s), and oks lazily gives (class size, edge-condition mask) for
-    each class in turn.
+    pairs of its representative.  Scaling one vertex's vector by a nonzero
+    scalar keeps them too, so a map of points stands for (q-1)^(nonzero
+    vertices) maps.  The scan is charged P^n maps times the number of
+    classes, P = 1 + (q^s - 1)/(q - 1).  Yields per chunk of maps
+    (vf, fmats, nonzero, oks): fmats is (B, n, s), nonzero the number of
+    nonzero vertices per map, and oks lazily gives (class size,
+    edge-condition mask) for each class in turn.
     """
     if s < 0:
         raise BadParams(f"ambient dimension must be nonnegative, got {s}")
@@ -146,29 +169,38 @@ def _pairs(g: Graph, s: int, q: int, rank: int):
     edges = _edge_set(g)
     n = g.n
     classes = _classes(s, q, rank)
-    vf = VecField(make_field(q))
-    for cols in _scan(
-        n * s, q, "incidence scan", per_row=len(classes), chunk=_F_CHUNK
+    field = make_field(q)
+    vf = VecField(field)
+    one = field.index(field.one)
+    points = 1 + (q**s - 1) // (q - 1)
+    for pidx in _scan(
+        n, points, "incidence scan", per_row=len(classes), chunk=_F_CHUNK
     ):
-        fmats = cols.reshape(len(cols), n, s)
+        fmats = _points(pidx, s, q, one)
+        nonzero = (pidx != 0).sum(axis=1)
         oks = ((size, _edge_ok(vf, fmats, Q, edges, q)) for Q, size in classes)
-        yield vf, fmats, oks
+        yield vf, fmats, nonzero, oks
 
 
 def _count(g: Graph, s: int, q: int, rank: int, constraints) -> int:
     """(Q, f) pairs with Q of the given rank whose map meets every (vertex
     mask, span dimension) requirement, memoized for the run.  An unsatisfiable
     requirement gives zero with no scan (a negative s goes on to _pairs,
-    which rejects it)."""
+    which rejects it).  Each scanned map of points weighs (q-1)^(nonzero
+    vertices); the weights pass int64, so they are summed in Python ints."""
     if s >= 0 and any(need > min(s, bin(mask).count("1")) for mask, need in constraints):
         return 0
 
     def compute():
+        import numpy as np
+
+        weights = [(q - 1) ** j for j in range(g.n + 1)]
         total = 0
-        for vf, fmats, oks in _pairs(g, s, q, rank):
+        for vf, fmats, nonzero, oks in _pairs(g, s, q, rank):
             want = _span_ok(vf, fmats, constraints)
             for size, ok in oks:
-                total += size * int((ok & want).sum())
+                hist = np.bincount(nonzero[ok & want], minlength=g.n + 1)
+                total += size * sum(w * int(c) for w, c in zip(weights, hist))
         return total
 
     return stats.memoized(("pairs", g.key(), s, q, rank, constraints), compute)

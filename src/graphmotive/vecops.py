@@ -151,11 +151,12 @@ def decode_assignments(
 ) -> np.ndarray:
     """Mixed-radix digits of the flat indices [start, stop).
 
-    Returns (stop - start, positions) uint8; digit 0 is the least significant.
+    Returns (stop - start, positions) of the smallest unsigned dtype that
+    holds q - 1 (uint8 for q <= 256); digit 0 is the least significant.
     """
     idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((stop - start, positions), dtype=np.uint8)
+    out = np.empty((stop - start, positions), dtype=np.min_scalar_type(q - 1))
     for pos in range(positions):
-        out[:, pos] = (idx % q).astype(np.uint8)
+        out[:, pos] = (idx % q).astype(out.dtype)
         idx //= q
     return out

@@ -197,10 +197,11 @@ def test_tree_counts_check_the_budget_before_listing_trees():
 
 
 def test_incidence_scan_is_budgeted():
-    # 3^18 maps of P3 into F_3^6 times 2 classes of invertible forms: the
-    # scan is refused before any map is decoded
+    # P3 into F_3^7: 1094^3 maps of projective points (1094 = 1 + 2186/2)
+    # times 2 classes of invertible forms, the scan is refused before any
+    # map is decoded
     start = time.monotonic()
-    out = run_gm("count", "--kind", "J", "--name", "P3", "--s", "6", "--q", "3")
+    out = run_gm("count", "--kind", "J", "--name", "P3", "--s", "7", "--q", "3")
     assert out.returncode == 1
     assert out.stderr.startswith("q=3: incidence scan needs ")
     assert time.monotonic() - start < 2
@@ -229,10 +230,12 @@ def test_incidence_counts_scan_only_the_rank_they_ask_for():
     assert out.returncode == 0
     assert "PASS" in out.stdout
     assert out.stderr.strip().rsplit("\n", 1)[-1] == "evaluations=66048"
+    # H at ambient dimension 3: 2^9 maps at q = 2 and 14^3 maps of points
+    # of F_3^3 times 2 rank-1 classes at q = 3
     out = run_gm("count", "--kind", "H", "--name", "P3", "--s", "1", "--q", "2,3",
                  "--stats")
     assert out.returncode == 0
-    assert out.stderr.strip().rsplit("\n", 1)[-1] == "evaluations=39878"
+    assert out.stderr.strip().rsplit("\n", 1)[-1] == "evaluations=6000"
 
 
 def test_five_vertex_full_rank_folds_every_diagonal_cell():
@@ -365,10 +368,11 @@ def test_verify_reports_each_order(capsys):
     assert captured.out == "identity=firstred q=2 lhs=39 rhs=39 PASS\n"
     assert captured.err.startswith("q=257: ")
 
-    # at q = 3 the extended graph's scan is 3^12 maps times 2 form classes
+    # at q = 3 the extended graph's scan is 14^4 maps of points times 2 form
+    # classes, 76832; each q = 2 order needs 2^12 + 2^9 = 4608
     code = main(
         ["verify", "--identity", "Jyuck", "--name", "P3", "--s", "3", "--q", "2,3,2",
-         "--budget", str(10**6), "--format", "json"]
+         "--budget", "50000", "--format", "json"]
     )
     captured = capsys.readouterr()
     assert code == 1

@@ -115,10 +115,16 @@ def test_engine_matches_slow_reference():
         (star(3), 2, 2),
         (complete(2), 2, 3),
         (cycle(5), 2, 2),  # five labeling rows
+        # q = 2 has one nonzero scalar and q = 3 only prime fields: here each
+        # scanned point stands for q - 1 vectors per nonzero vertex
+        *((g, 1, q) for g in (complete(2), path(3), cycle(3)) for q in (4, 5)),
+        (complete(2), 2, 4),
     ]:
         for r in range(s + 1):
             for k in range(min(s, g.n) + 1):
-                assert count_A(g, s, r, k, q) == count_A_slow(g, s, r, k, q)
+                assert count_A(g, s, r, k, q) == count_A_slow(g, s, r, k, q), (
+                    g, s, q, r, k
+                )
 
 
 def test_count_A_conventions():
@@ -224,10 +230,15 @@ def test_count_L_against_oracle():
     assert count_L(2, PartialRank(2, ((0b01, 2),)), 3) == 0
     # empty subset needing positive span
     assert count_L(2, PartialRank(2, ((0b00, 1),)), 2) == 0
-    # the work is the map scan alone: no census of the symmetric forms
+    # the work is the map scan alone, one map per projective point of
+    # F_7^3 or the zero vector, 1 + (7^3 - 1)/6 = 58: no census of the
+    # symmetric forms
     stats.reset()
     assert count_L(3, PartialRank(1, ()), 7) == 7**3
-    assert stats.evaluations == 7**3
+    assert stats.evaluations == 58
+    # 2^8 maps of points, weighted up to 255^8 > 2^63: the weights are
+    # summed exactly
+    assert count_L(1, PartialRank(8, ()), 256) == 256**8
 
 
 def brute_J_partial(g, s, pi, q):

@@ -318,3 +318,13 @@ def test_von_staudt_check_reports_a_broken_table():
     report = von_staudt_check(field)
     assert (("neg", 0), (0, 0, 0), (0, 0, 1)) in report.failures
     assert sum(got == (0, 0, 0) for _, got, _ in report.failures) == 28
+    # F_5 with 1 + 0 = 0 breaks the frame itself: one recorded failure and
+    # no pair checked
+    field = copy.copy(make_field(5))
+    add = [list(row) for row in field.add_table]
+    add[1][0] = 0
+    field.add_table = add
+    report = von_staudt_check(field)
+    assert not report
+    assert report.pairs_checked == 0
+    assert [f[0] for f in report.failures] == [("frame",)]
