@@ -17,7 +17,7 @@ from itertools import product
 
 from .errors import BadArgs, BudgetExceeded, NotSimple, TooLarge
 from .ffield import FieldSpec, make_field, rank_from_index_rows
-from .graphs import Graph, indices_from_mask
+from .graphs import Graph, indices_from_mask, mask_from_indices
 from .polys import MultilinearPoly, spanning_tree_poly, tree_complement_poly
 
 DEFAULT_BUDGET = 10**8
@@ -196,24 +196,77 @@ def _hypersurface_complement(g: Graph, q: int, poly) -> int:
     return q**g.m - count_zeros(poly(g), q)
 
 
+def _peel(g: Graph, q: int, kind: str) -> tuple[Graph, int]:
+    """The core of a connected graph and the factor peeled off it for the
+    count of kind "X" or "Y" (see _tree_count): its loops deleted, its
+    bridges contracted and, for X, every parallel class cut to one edge.
+    Contracting bridges makes no loop, bridge or parallel pair; deleting a
+    parallel edge can leave a bridge, so the rounds go on until none does."""
+    loop, bridge = (q, q - 1) if kind == "X" else (q - 1, q)
+    loops = mask_from_indices(i for i, (u, v) in enumerate(g.edges) if u == v)
+    g = g.delete_edges(loops)
+    factor = loop ** loops.bit_count()
+    while True:
+        full = (1 << g.m) - 1
+        cut = mask_from_indices(
+            i for i in range(g.m) if g.subset_betti(full ^ 1 << i)[0] > 1
+        )
+        g = g.contract(cut)
+        factor *= bridge ** cut.bit_count()
+        if kind == "Y":
+            return g, factor
+        seen, twins = set(), 0
+        for i, (u, v) in enumerate(g.edges):
+            pair = (min(u, v), max(u, v))
+            if pair in seen:
+                twins |= 1 << i
+            seen.add(pair)
+        if not twins:
+            return g, factor
+        g = g.delete_edges(twins)
+        factor *= q ** twins.bit_count()
+
+
+def _tree_count(g: Graph, q: int, kind: str) -> int:
+    """X(G) (kind "X", the spanning-tree polynomial) or Y(G) (kind "Y", the
+    tree-complement polynomial): the points of F_q^E where it is nonzero.
+
+    Memoized on g's labels; on a miss, closed-form factors come off first:
+      a loop e:         X(G) = q X(G - e),      Y(G) = (q-1) Y(G - e);
+      a bridge e:       X(G) = (q-1) X(G / e),  Y(G) = q Y(G / e);
+      X only, e || f:   X(G) = q X(G - f), as T_G(x) = T_{G-f}(x_e + x_f).
+    A graph with no vertex or with two components has no spanning tree and
+    counts 0; a single vertex counts 1.  Only the loopless, bridgeless core
+    is scanned, its scan checked against the budget, and its count memoized
+    on its own labels."""
+
+    def compute():
+        make_field(q)  # an order with no field fails here, closed form or not
+        if not g.is_connected():
+            return 0
+        core, factor = _peel(g, q, kind)
+        if not core.m:
+            return factor
+        poly = spanning_tree_poly if kind == "X" else tree_complement_poly
+        return factor * stats.memoized(
+            (kind, core.key(), q), lambda: _hypersurface_complement(core, q, poly)
+        )
+
+    return stats.memoized((kind, g.key(), q), compute)
+
+
 def count_tree_complement(g: Graph, q: int) -> int:
     """Points of F_q^E avoiding the zero locus of the tree-complement
     polynomial (the sum over spanning trees of the product of the
     off-tree variables)."""
-    return stats.memoized(
-        ("Y", g.key(), q),
-        lambda: _hypersurface_complement(g, q, tree_complement_poly),
-    )
+    return _tree_count(g, q, "Y")
 
 
 def count_tree_support(g: Graph, q: int) -> int:
     """Points of F_q^E avoiding the zero locus of the spanning-tree
     polynomial (the sum over spanning trees of the product of the
     on-tree variables)."""
-    return stats.memoized(
-        ("X", g.key(), q),
-        lambda: _hypersurface_complement(g, q, spanning_tree_poly),
-    )
+    return _tree_count(g, q, "X")
 
 
 @dataclass

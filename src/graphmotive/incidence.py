@@ -184,26 +184,41 @@ def _pairs(g: Graph, s: int, q: int, rank: int):
 
 def _count(g: Graph, s: int, q: int, rank: int, constraints) -> int:
     """(Q, f) pairs with Q of the given rank whose map meets every (vertex
-    mask, span dimension) requirement, memoized for the run.  An unsatisfiable
-    requirement gives zero with no scan (a negative s goes on to _pairs,
-    which rejects it).  Each scanned map of points weighs (q-1)^(nonzero
-    vertices); the weights pass int64, so they are summed in Python ints."""
-    if s >= 0 and any(need > min(s, bin(mask).count("1")) for mask, need in constraints):
+    mask, span dimension) requirement.  An unsatisfiable requirement gives
+    zero with no scan (a negative s goes on to _pairs, which rejects it).
+
+    The maps are filtered by every requirement but the last, and one scan
+    histograms the span dimension of the last one's mask, memoized for the
+    run on (g, s, q, rank, the other requirements, that mask): every
+    dimension asked of that mask reads the same scan.  With no requirement
+    the empty mask stands in, of span 0 on every map.  Each scanned map of
+    points weighs (q-1)^(nonzero vertices); the weights pass int64, so they
+    are summed in Python ints."""
+    if s >= 0 and any(need > min(s, mask.bit_count()) for mask, need in constraints):
         return 0
+    *others, (mask, need) = constraints or ((0, 0),)
+    others = tuple(others)
 
     def compute():
         import numpy as np
 
-        weights = [(q - 1) ** j for j in range(g.n + 1)]
-        total = 0
+        n = g.n
+        rows = indices_from_mask(mask)
+        dims = min(s, len(rows)) + 1
+        weights = [(q - 1) ** j for j in range(n + 1)]
+        totals = [0] * dims
         for vf, fmats, nonzero, oks in _pairs(g, s, q, rank):
-            want = _span_ok(vf, fmats, constraints)
+            want = _span_ok(vf, fmats, others)
+            # one cell per (span dimension of the mask, nonzero vertices)
+            cell = vf.rank(fmats[:, rows, :]).astype(np.int64) * (n + 1) + nonzero
             for size, ok in oks:
-                hist = np.bincount(nonzero[ok & want], minlength=g.n + 1)
-                total += size * sum(w * int(c) for w, c in zip(weights, hist))
-        return total
+                hist = np.bincount(cell[ok & want], minlength=dims * (n + 1))
+                for d, by_nonzero in enumerate(hist.reshape(dims, n + 1).tolist()):
+                    totals[d] += size * sum(w * c for w, c in zip(weights, by_nonzero))
+        return totals
 
-    return stats.memoized(("pairs", g.key(), s, q, rank, constraints), compute)
+    by_dim = stats.memoized(("pairs", g.key(), s, q, rank, others, mask), compute)
+    return by_dim[need]
 
 
 # ---------------------------------------------------------------------------
@@ -305,34 +320,25 @@ def forest_J(forest: Graph, s: int, q: int) -> int:
     if not forest.is_forest():
         raise NotAForest(f"graph has a cycle: {forest!r}")
 
-    memo: dict[tuple, int] = {}
-
     def rec(g: Graph) -> int:
         if g.n == 0:
             return count_symmetric_rank(s, s, q)
-        key = g.key()
-        got = memo.get(key)
-        if got is not None:
-            return got
+        return stats.memoized(("forest", g.key(), s, q), lambda: split(g))
+
+    def split(g: Graph) -> int:
         degrees = [0] * g.n
         for u, v in g.edges:
             degrees[u] += 1
             degrees[v] += 1
-        val = None
-        for v in range(g.n):
-            if degrees[v] == 0:
-                val = q**s * rec(g.remove_vertex(v))
-                break
-        if val is None:
-            w = next(v for v in range(g.n) if degrees[v] == 1)
-            (nbr,) = [u if u != w else v for u, v in g.edges if w in (u, v)]
-            peeled = g.remove_vertex(w)
-            nbr_after = nbr - 1 if nbr > w else nbr
-            val = q ** (s - 1) * (
-                rec(peeled) + (q - 1) * rec(peeled.remove_vertex(nbr_after))
-            )
-        memo[key] = val
-        return val
+        if 0 in degrees:
+            return q**s * rec(g.remove_vertex(degrees.index(0)))
+        w = degrees.index(1)
+        (nbr,) = [u if u != w else v for u, v in g.edges if w in (u, v)]
+        peeled = g.remove_vertex(w)
+        nbr_after = nbr - 1 if nbr > w else nbr
+        return q ** (s - 1) * (
+            rec(peeled) + (q - 1) * rec(peeled.remove_vertex(nbr_after))
+        )
 
     return rec(forest)
 

@@ -196,6 +196,21 @@ def test_tree_counts_check_the_budget_before_listing_trees():
         )
 
 
+def test_tree_count_budget_sees_only_the_core(tmp_path, capsys):
+    # K4 with a pendant path of 40 edges: all 46 variables scanned would be
+    # 2^44 rows at q = 2, over the budget, but the 40 bridges contract off
+    # as factors q - 1, so only K4's q^(6 - 2) rows are scanned: 16 + 81
+    edges = list(graphs.complete(4).edges) + [(3 + i, 4 + i) for i in range(40)]
+    graph_file = tmp_path / "lollipop.txt"
+    graph_file.write_text(graphs.format_edge_list(graphs.Graph(44, tuple(edges))))
+    code = main(["count", "--kind", "XG", "--graph", str(graph_file),
+                 "--q", "2,3", "--stats"])
+    out = capsys.readouterr()
+    assert code == 0
+    assert out.out.splitlines()[1:] == ["q=2 count=28", f"q=3 count={468 * 2**40}"]
+    assert out.err == "evaluations=97\n"
+
+
 def test_incidence_scan_is_budgeted():
     # P3 into F_3^7: 1094^3 maps of projective points (1094 = 1 + 2186/2)
     # times 2 classes of invertible forms, the scan is refused before any

@@ -242,6 +242,57 @@ def test_hypersurface_complements_against_oracle():
             )
 
 
+def multigraphs_up_to_relabeling(max_n, max_m):
+    """One multigraph, loops and parallel edges allowed, per isomorphism
+    class with at most max_n vertices and max_m edges."""
+    seen = set()
+    for n in range(max_n + 1):
+        cells = [(u, v) for u in range(n) for v in range(u, n)]
+        perms = list(itertools.permutations(range(n)))
+        for m in range(max_m + 1):
+            for edges in itertools.combinations_with_replacement(cells, m):
+                canon = min(
+                    tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
+                    for p in perms
+                )
+                if (n, canon) not in seen:
+                    seen.add((n, canon))
+                    yield Graph(n, edges)
+
+
+def test_peeled_tree_counts_against_oracle():
+    # loops, bridges and parallel edges peel off in closed form before the
+    # core is scanned; every count must still be q^m minus the zeros of the
+    # whole polynomial.  A zero count does not change when the variables are
+    # renamed, so the oracle runs once per polynomial up to renaming (every
+    # coefficient of a tree polynomial is 1).
+    corpus = list(multigraphs_up_to_relabeling(4, 5))
+    corpus += [discrete(0), discrete(1), discrete(2), cycle(1), cycle(2)]
+    oracle = {}
+
+    def zeros(poly, q):
+        m = poly.nvars
+        canon = min(
+            tuple(sorted(sum(1 << p[i] for i in range(m) if mask >> i & 1)
+                         for mask in poly.terms))
+            for p in itertools.permutations(range(m))
+        )
+        key = (m, canon, q)
+        if key not in oracle:
+            oracle[key] = zeros_oracle(poly, q)
+        return oracle[key]
+
+    for g in corpus:
+        for q in (2, 3, 4, 5):
+            stats.reset()
+            assert count_tree_support(g, q) == q**g.m - zeros(
+                spanning_tree_poly(g), q
+            ), (g, q)
+            assert count_tree_complement(g, q) == q**g.m - zeros(
+                tree_complement_poly(g), q
+            ), (g, q)
+
+
 def test_strata_counts_consistency():
     g = cycle(3)
     for q in (2, 3):

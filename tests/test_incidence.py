@@ -127,6 +127,19 @@ def test_engine_matches_slow_reference():
                 )
 
 
+def test_span_dimensions_share_one_scan():
+    # one scan histograms the span dimension: every k of one (graph, s, q,
+    # rank) costs what one of them costs alone
+    g = path(3)
+    slow = [count_A_slow(g, 2, 1, k, 3) for k in range(3)]
+    stats.reset()
+    assert count_A(g, 2, 1, 1, 3) == slow[1]
+    alone = stats.evaluations
+    stats.reset()
+    assert [count_A(g, 2, 1, k, 3) for k in range(3)] == slow
+    assert stats.evaluations == alone > 0
+
+
 def test_count_A_conventions():
     g = path(3)
     assert count_A(g, 2, 3, 1, 2) == 0     # rank above the ambient dimension
@@ -239,6 +252,16 @@ def test_count_L_against_oracle():
     # 2^8 maps of points, weighted up to 255^8 > 2^63: the weights are
     # summed exactly
     assert count_L(1, PartialRank(8, ()), 256) == 256**8
+    # all 31 nonempty subsets of five vectors in F_q^2 span min(2, |S|):
+    # five distinct lines in order, (q+1) q (q-1) (q-2) (q-3) ways, each
+    # vector any of its line's q - 1 nonzero points; the full mask's span is
+    # histogrammed and the other 30 masks filter, none packed with another
+    pi = PartialRank(5, tuple((S, min(2, S.bit_count())) for S in range(1, 32)))
+    got = [count_L(2, pi, q) for q in (2, 3, 4, 5)]
+    assert got == [
+        (q + 1) * q * (q - 1) * (q - 2) * (q - 3) * (q - 1) ** 5 for q in (2, 3, 4, 5)
+    ]
+    assert got == [0, 0, 29160, 737280]
 
 
 def brute_J_partial(g, s, pi, q):
