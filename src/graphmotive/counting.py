@@ -12,6 +12,7 @@ paths do no counting at all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -58,13 +59,14 @@ class Ledger:
 stats = Ledger()
 
 
-def _scan(positions: int, q: int, what: str, per_row=1, chunk=_VECTOR_CHUNK):
-    """Charges rows * per_row for the q^positions assignments of digits
-    0 .. q-1 (F_q indices, or any other radix) to the positions, then lazily
-    yields them as decode_assignments chunks of at most `chunk` rows."""
+def _scan(positions: int, q, what: str, per_row=1, chunk=_VECTOR_CHUNK):
+    """Charges rows * per_row for the assignments of digits 0 .. q-1 (F_q
+    indices, or any other radix) to the positions, then lazily yields them
+    as decode_assignments chunks of at most `chunk` rows.  q is one radix
+    for every position or, as in decode_assignments, one per position."""
     from .vecops import decode_assignments
 
-    total = q**positions
+    total = q**positions if isinstance(q, int) else math.prod(q)
     stats.charge(total * per_row, what)
     return (
         decode_assignments(start, min(start + chunk, total), positions, q)
@@ -126,11 +128,11 @@ def _bilinear_zeros(vf, a, b, c, e, q: int):
     ).astype(np.int64)
 
 
-def _multilinear_zeros(vf, coef, q: int) -> int:
-    """Zeros in F_q^k, summed over the rows, of the multilinear polynomials
-    whose coefficients (field indices) are the rows of the (B, 2^k) array
-    coef, column S holding the coefficient of the monomial with variable
-    set S (bit v for variable v), k >= 2.
+def _multilinear_zeros(vf, coef, q: int):
+    """Zeros in F_q^k, as one int64 count per row, of the multilinear
+    polynomials whose coefficients (field indices) are the rows of the
+    (B, 2^k) array coef, column S holding the coefficient of the monomial
+    with variable set S (bit v for variable v), k >= 2.
 
     The first k - 2 variables are substituted one at a time: for each of
     the q values d of variable 0, coef'[S] = coef[S] + d * coef[S | 1]
@@ -139,13 +141,15 @@ def _multilinear_zeros(vf, coef, q: int) -> int:
     """
     import numpy as np
 
+    rows, spread = len(coef), 1
     values = np.arange(q, dtype=np.uint8)[None, :, None]
     while coef.shape[1] > 4:
         terms = coef.shape[1] // 2
         without, with_v = coef[:, None, 0::2], coef[:, None, 1::2]
         coef = vf.add(without, vf.mul(with_v, values)).reshape(-1, terms)
+        spread *= q
     e, b, c, a = coef.T
-    return int(_bilinear_zeros(vf, a, b, c, e, q).sum())
+    return _bilinear_zeros(vf, a, b, c, e, q).reshape(rows, spread).sum(axis=1)
 
 
 def count_zeros(poly: MultilinearPoly, q: int) -> int:
@@ -178,7 +182,7 @@ def count_zeros(poly: MultilinearPoly, q: int) -> int:
     zeros = 0
     for cols in _scan(n - 2, q, "polynomial zero scan"):
         coef = np.stack([_evaluate(vf, part, cols) for part in parts], axis=1)
-        zeros += _multilinear_zeros(vf, coef, q)
+        zeros += int(_multilinear_zeros(vf, coef, q).sum())
     pad = q ** (n - nvars)
     assert zeros % pad == 0
     return zeros // pad
@@ -381,20 +385,50 @@ def _pattern_cells(n: int, zero_pairs: frozenset[tuple[int, int]]):
 def _symmetric_batches(
     d: int, q: int, cells, what: str, per_row=1, chunk=_VECTOR_CHUNK
 ):
-    """Every assignment of F_q indices to the given upper-triangle cells, as
-    (B, d, d) uint8 chunks of symmetric matrices with every other cell zero,
-    in the digit order of decode_assignments; charged as one _scan, with its
-    per_row and chunk."""
+    """The symmetric d x d matrices over F_q with the given upper-triangle
+    cells free and every other cell zero, normalized under the diagonal
+    torus as below, in (mats, nonzero) chunks: mats (B, d, d) uint8 and
+    nonzero the number of nonzero forest cells per matrix; charged as one
+    _scan, with its per_row and chunk.
+
+    M -> D M D, D an invertible diagonal matrix, keeps every zero cell and
+    the rank.  The free off-diagonal cells are the edges of a graph on the
+    d indices; take a spanning forest F of it, rooted in each component.
+    The D with d_root = 1 scale the F cells by each element of (F_q^*)^F
+    exactly once, so a matrix whose nonzero F cells are a set J is D N for
+    exactly one N with 1 on J and 0 on the rest of F and one such D that
+    scales the F cells off J by 1: a decoded N with j nonzero F cells
+    stands for (q-1)^j matrices of its rank.  The F cells are radix-2
+    digits below the radix-q digits of the other cells, so
+    2^|F| q^(cells - |F|) rows are decoded in all."""
     import numpy as np
+
+    parent = list(range(d))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    forest, rest = [], []
+    for i, j in cells:
+        a, b = root(i), root(j)
+        if a == b:  # a diagonal cell, or one that closes a cycle
+            rest.append((i, j))
+        else:
+            parent[a] = b
+            forest.append((i, j))
+    order = forest + rest
+    radices = (2,) * len(forest) + (q,) * len(rest)
 
     def fill(cols):
         mats = np.zeros((len(cols), d, d), dtype=np.uint8)
-        for pos, (i, j) in enumerate(cells):
+        for pos, (i, j) in enumerate(order):  # digit 1 is index 1, the unit
             mats[:, i, j] = cols[:, pos]
             mats[:, j, i] = cols[:, pos]
-        return mats
+        return mats, cols[:, : len(forest)].sum(axis=1, dtype=np.intp)
 
-    return map(fill, _scan(len(cells), q, what, per_row, chunk))
+    return map(fill, _scan(len(order), radices, what, per_row, chunk))
 
 
 def _head_tail_order(n: int, zero_pairs: frozenset[tuple[int, int]]):
@@ -418,20 +452,23 @@ def _census_pattern(
     """Rank histogram of all symmetric d x d matrices over F_q with zeros
     at the given off-diagonal pairs.  Ranks above rank_cap are clamped to
     rank_cap + 1 (callers that only need 'rank == target' use this)."""
-    field = make_field(q)
-    cells = _pattern_cells(d, zero_pairs)
-
     import numpy as np
 
     from .vecops import VecField
 
-    vf = VecField(field)
+    vf = VecField(make_field(q))
+    cells = _pattern_cells(d, zero_pairs)
     cap = None if rank_cap is None else rank_cap + 1
+    # one histogram cell per (rank, nonzero forest cells), both at most d
+    side = d + 1
+    hist = np.zeros(side * side, dtype=np.int64)
+    for mats, nonzero in _symmetric_batches(d, q, cells, "symmetric pattern scan"):
+        ranks = vf.rank(mats, cap=cap).astype(np.intp)
+        hist += np.bincount(ranks * side + nonzero, minlength=side * side)
     counts: dict[int, int] = {}
-    for mats in _symmetric_batches(d, q, cells, "symmetric pattern scan"):
-        vals, freq = np.unique(vf.rank(mats, cap=cap), return_counts=True)
-        for r, c in zip(vals.tolist(), freq.tolist()):
-            counts[r] = counts.get(r, 0) + int(c)
+    for r, by_nonzero in enumerate(hist.reshape(side, side).tolist()):
+        if any(by_nonzero):
+            counts[r] = sum(c * (q - 1) ** j for j, c in enumerate(by_nonzero))
     return counts
 
 
@@ -442,10 +479,12 @@ def _count_full_rank(n: int, q: int, zero_pairs: frozenset[tuple[int, int]]) -> 
     Write the matrix as D + N, D its diagonal d_0..d_{n-1} and N the rest.
     The determinant is multilinear in the d_i:
     det(D + N) = sum over S of prod_{i in S} d_i * det(N[complement of S]).
-    So only N's free cells are scanned; the 2^n principal minors of each N
-    are the coefficients of a polynomial in every diagonal cell, and
-    _multilinear_zeros counts the diagonals where it vanishes.  The unit
-    is q^(n-2) folded diagonal values per decoded N, q^(cells - 2) in all.
+    So only N's free cells are scanned, one N per diagonal-torus class
+    (_symmetric_batches); the 2^n principal minors of each N are the
+    coefficients of a polynomial in every diagonal cell, and
+    _multilinear_zeros counts the diagonals where it vanishes.  An N with
+    j nonzero forest cells weighs (q-1)^j.  The unit is q^(n-2) folded
+    diagonal values per decoded N.
     """
     import numpy as np
 
@@ -460,12 +499,15 @@ def _count_full_rank(n: int, q: int, zero_pairs: frozenset[tuple[int, int]]) -> 
         per_row=fold, chunk=max(1, _VECTOR_CHUNK // fold),
     )
     result = 0
-    for mats in batches:
+    for mats, nonzero in batches:
         coef = np.empty((len(mats), 1 << n), dtype=np.uint8)
         for keep in range(1 << n):
             rows = indices_from_mask(keep)
             coef[:, full ^ keep] = vf.det(mats[:, rows][:, :, rows])
-        result += len(mats) * q**n - _multilinear_zeros(vf, coef, q)
+        good = q**n - _multilinear_zeros(vf, coef, q)
+        # a forest has at most n - 1 cells; the weights stay Python ints
+        for j in range(n):
+            result += (q - 1) ** j * int(good[nonzero == j].sum())
     return result
 
 

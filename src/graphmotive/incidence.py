@@ -187,17 +187,17 @@ def _count(g: Graph, s: int, q: int, rank: int, constraints) -> int:
     mask, span dimension) requirement.  An unsatisfiable requirement gives
     zero with no scan (a negative s goes on to _pairs, which rejects it).
 
-    The maps are filtered by every requirement but the last, and one scan
-    histograms the span dimension of the last one's mask, memoized for the
-    run on (g, s, q, rank, the other requirements, that mask): every
-    dimension asked of that mask reads the same scan.  With no requirement
-    the empty mask stands in, of span 0 on every map.  Each scanned map of
+    The maps are filtered by every requirement but the caller's last, and
+    one scan histograms the span dimension of the last one's mask, memoized
+    for the run on (g, s, q, rank, the other requirements sorted, that
+    mask): every dimension asked of that mask reads the same scan.  With no
+    requirement the empty mask stands in, of span 0 on every map.  Each scanned map of
     points weighs (q-1)^(nonzero vertices); the weights pass int64, so they
     are summed in Python ints."""
     if s >= 0 and any(need > min(s, mask.bit_count()) for mask, need in constraints):
         return 0
     *others, (mask, need) = constraints or ((0, 0),)
-    others = tuple(others)
+    others = tuple(sorted(others))
 
     def compute():
         import numpy as np
@@ -286,7 +286,7 @@ def count_J_partial(g: Graph, s: int, pi: PartialRank, q: int) -> int:
         raise BadParams(
             f"requirements are over {pi.ground} elements, graph has {g.n} vertices"
         )
-    return _count(g, s, q, s, tuple(sorted(pi.pairs)))
+    return _count(g, s, q, s, pi.pairs)
 
 
 def count_K(g: Graph, s: int, q: int) -> int:
@@ -305,7 +305,7 @@ def count_H(g: Graph, s: int, q: int) -> int:
 def count_L(s: int, pi: PartialRank, q: int) -> int:
     """Maps from the ground set into F_q^s with required span dimensions on
     the given subsets (no form, no edges)."""
-    return _count(Graph(pi.ground, ()), s, q, 0, tuple(sorted(pi.pairs)))
+    return _count(Graph(pi.ground, ()), s, q, 0, pi.pairs)
 
 
 # ---------------------------------------------------------------------------

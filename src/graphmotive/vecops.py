@@ -147,16 +147,20 @@ def _laplace_plan(n: int):
 
 
 def decode_assignments(
-    start: int, stop: int, positions: int, q: int
+    start: int, stop: int, positions: int, q
 ) -> np.ndarray:
     """Mixed-radix digits of the flat indices [start, stop).
 
-    Returns (stop - start, positions) of the smallest unsigned dtype that
-    holds q - 1 (uint8 for q <= 256); digit 0 is the least significant.
+    q is the radix of every position, or a sequence of one radix per
+    position.  Returns (stop - start, positions) of the smallest unsigned
+    dtype that holds the largest radix minus one (uint8 for q <= 256);
+    digit 0 is the least significant.
     """
+    radices = [q] * positions if isinstance(q, int) else list(q)
     idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((stop - start, positions), dtype=np.min_scalar_type(q - 1))
-    for pos in range(positions):
-        out[:, pos] = (idx % q).astype(out.dtype)
-        idx //= q
+    dtype = np.min_scalar_type(max(radices, default=1) - 1)
+    out = np.empty((stop - start, positions), dtype=dtype)
+    for pos, radix in enumerate(radices):
+        out[:, pos] = (idx % radix).astype(out.dtype)
+        idx //= radix
     return out

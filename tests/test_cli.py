@@ -255,19 +255,36 @@ def test_incidence_counts_scan_only_the_rank_they_ask_for():
 
 def test_five_vertex_full_rank_folds_every_diagonal_cell():
     # C5's non-edges touch every vertex, so Zo is a full-rank count on all
-    # five: its 5 free off-diagonal cells are decoded and its 5 diagonal
-    # cells folded, q^5 matrices times q^3 folded values, 5^8 + 7^8 in all
+    # five: its 5 diagonal cells are folded and its 5 free off-diagonal
+    # cells decoded, 4 of them a spanning path of {0, 1} digits, so
+    # 2^4 q matrices times q^3 folded values: 5 2^4 5^3 + 7 2^4 7^3 in all
     out = run_gm("count", "--kind", "Zo", "--name", "C5", "--q", "5,7", "--stats")
     assert out.returncode == 0
     assert out.stdout.splitlines()[1:] == ["q=5 count=7534400", "q=7 count=238700952"]
-    assert out.stderr.strip().rsplit("\n", 1)[-1] == "evaluations=6155426"
+    assert out.stderr.strip().rsplit("\n", 1)[-1] == "evaluations=48416"
+
+
+def test_six_vertex_full_rank_fits_the_default_budget(tmp_path):
+    # K3,3 plus the edge (0, 1): every vertex meets a non-edge, so Zo is a
+    # full-rank count on all six.  Its 10 free off-diagonal cells hold a
+    # spanning tree of 5 {0, 1} digits: 2^5 q^5 matrices times q^4 folded
+    # values, 3^5 2^5 3^4 + 4^5 2^5 4^4 in all.  Without the torus classes
+    # q=4 needs 4^10 4^4 = 268435456 units, over the default budget.
+    edges = [(0, 1)] + [(u, v) for u in range(3) for v in range(3, 6)]
+    graph_file = tmp_path / "k33_plus_edge.txt"
+    graph_file.write_text(graphs.format_edge_list(graphs.Graph(6, tuple(edges))))
+    out = run_gm("count", "--kind", "Zo", "--graph", str(graph_file), "--q", "3,4", "--stats")
+    assert out.returncode == 0
+    assert out.stdout.splitlines()[1:] == ["q=3 count=26605584", "q=4 count=3129974784"]
+    assert out.stderr.strip().rsplit("\n", 1)[-1] == "evaluations=9018464"
 
 
 def test_stats_count_decoded_rows(capsys):
     # XG scans 3^(6 - 2) rows of K4's six edge variables; Z on P4 decodes
-    # its 3 free off-diagonal cells and charges each decoded matrix for
-    # 3^(4 - 2) folded diagonal values: 3^3 * 3^2 = 3^5
-    for kind, name, rows in (("XG", "K4", 81), ("Z", "P4", 243)):
+    # its 3 free off-diagonal cells, a spanning path of {0, 1} digits, and
+    # charges each decoded matrix for 3^(4 - 2) folded diagonal values:
+    # 2^3 * 3^2
+    for kind, name, rows in (("XG", "K4", 81), ("Z", "P4", 72)):
         code = main(["count", "--kind", kind, "--name", name, "--q", "3", "--stats"])
         assert code == 0
         assert capsys.readouterr().err == f"evaluations={rows}\n"

@@ -11,6 +11,7 @@ import importlib
 import inspect
 import itertools
 import pkgutil
+import random
 import time
 
 import numpy as np
@@ -126,7 +127,7 @@ def test_multilinear_zeros_against_evaluation_oracle():
             want = [multilinear_zeros_oracle(field, row, k) for row in coef]
             for row, zeros in zip(coef, want):
                 assert _multilinear_zeros(vf, row[None], q) == zeros, (k, q, row)
-            assert _multilinear_zeros(vf, coef, q) == sum(want), (k, q)
+            assert _multilinear_zeros(vf, coef, q).tolist() == want, (k, q)
 
 
 def test_count_zeros_budget_and_stats():
@@ -425,6 +426,49 @@ def test_pattern_census_against_element_oracle():
                 )
 
 
+def test_torus_census_against_element_oracle_at_every_cap():
+    # _census_pattern decodes one matrix per diagonal-torus class, its
+    # spanning-forest cells in {0, 1}; the element-level oracle decodes every
+    # matrix.  Every pattern at d <= 3 and q <= 5, then at d = 4, 5 a seeded
+    # sample of patterns with at most 4096 matrices, beside forests of
+    # several components, a free cycle and patterns with no free
+    # off-diagonal cell (at most 20000 matrices).
+    def check(d, q, pattern):
+        want = pattern_census_oracle(d, q, pattern)
+        assert _census_pattern(d, q, pattern) == want, (d, q, pattern)
+        for cap in range(d + 1):
+            clamped = {}
+            for r, c in want.items():
+                clamped[min(r, cap + 1)] = clamped.get(min(r, cap + 1), 0) + c
+            got = _census_pattern(d, q, pattern, rank_cap=cap)
+            assert got == clamped, (d, q, pattern, cap)
+
+    for d in (1, 2, 3):
+        for q in (2, 3, 4, 5):
+            for pattern in all_patterns(d):
+                check(d, q, pattern)
+
+    def zeros_off(d, free):
+        return frozenset(itertools.combinations(range(d), 2)) - set(free)
+
+    special = {
+        4: [(), ((0, 1), (2, 3)), ((0, 1), (1, 2), (0, 2))],
+        5: [(), ((0, 1), (2, 3)), ((0, 1), (1, 2), (3, 4)),
+            ((0, 1), (1, 2), (2, 3), (0, 3))],
+    }
+    rng = random.Random(16)
+    for d in (4, 5):
+        patterns = list(all_patterns(d))
+        rng.shuffle(patterns)
+        cells = d * (d + 1) // 2
+        for q in (2, 3, 4):
+            fixed = [zeros_off(d, free) for free in special[d]]
+            fixed = [p for p in fixed if q ** (cells - len(p)) <= 20000]
+            sample = [p for p in patterns if q ** (cells - len(p)) <= 4096][:4]
+            for pattern in fixed + sample:
+                check(d, q, pattern)
+
+
 def test_full_rank_count_against_census():
     # the off-diagonal scan with every diagonal cell folded must agree with
     # the plain rank census for every zero pattern at every size; one in
@@ -441,17 +485,25 @@ def test_full_rank_count_against_census():
 
 def test_full_rank_count_in_shrunken_chunks():
     # q^(n-2) diagonal values are folded per decoded matrix, so a chunk
-    # decodes about _VECTOR_CHUNK / q^(n-2) matrices: two chunks at q=13,
-    # three matrices a chunk at q=41.  Block-diagonal patterns factor into
-    # closed counts: free 2x2 blocks times nonzero 1x1 blocks.
-    for q, blocks, singles in ((13, ((0, 1), (2, 3)), 1), (41, ((0, 1),), 3)):
-        want = count_symmetric_rank(2, 2, q) ** len(blocks) * (q - 1) ** singles
+    # decodes about _VECTOR_CHUNK / q^(n-2) matrices.  A free block of b
+    # vertices has b(b-1)/2 free cells, b - 1 of them a spanning tree of
+    # {0, 1} digits: a free K4 block at q=13 decodes 2^3 * 13^3 = 17576
+    # matrices against a chunk of 2^18 // 13^3 = 119, a free triangle at
+    # q=41 decodes 2^2 * 41 = 164 against a chunk of 3.  Block-diagonal
+    # patterns factor into closed counts: the free block times nonzero 1x1
+    # blocks for the single vertices.
+    for q, block, singles in ((13, 4, 1), (41, 3, 2)):
+        want = count_symmetric_rank(block, block, q) * (q - 1) ** singles
         fold = q**3
-        zero_pairs = frozenset(itertools.combinations(range(5), 2)) - set(blocks)
-        assert q ** len(blocks) > _VECTOR_CHUNK // fold  # more than one chunk
+        free = block * (block - 1) // 2
+        rows = 2 ** (block - 1) * q ** (free - block + 1)
+        zero_pairs = frozenset(itertools.combinations(range(5), 2)) - set(
+            itertools.combinations(range(block), 2)
+        )
+        assert rows > _VECTOR_CHUNK // fold  # more than one chunk
         stats.reset()
         assert _count_full_rank(5, q, zero_pairs) == want, q
-        assert stats.evaluations == q ** len(blocks) * fold
+        assert stats.evaluations == rows * fold
 
 
 def test_blocked_and_supported_counts():

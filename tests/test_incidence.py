@@ -543,6 +543,30 @@ def test_identity_reports():
             assert rep.name == name and rep.q == q
 
 
+def test_pi_strat_histograms_the_subset_it_varies(monkeypatch):
+    # each right-hand count keeps the varied subset last, so its s + 1 span
+    # levels read one scan even when a base mask sorts above the subset:
+    # one scan for the left side, one for the right
+    from graphmotive import incidence
+
+    scans = []
+    pairs = incidence._pairs
+
+    def spy(*args):
+        scans.append(args)
+        return pairs(*args)
+
+    monkeypatch.setattr(incidence, "_pairs", spy)
+    params = {
+        "graph": path(3), "s": 2, "t": 1, "subset": 0b011,
+        "base": PartialRank(3, ((0b100, 1),)),
+    }
+    stats.reset()
+    rep = verify_identity("pi-strat", params, 3)
+    assert rep.lhs == rep.rhs == 6576
+    assert len(scans) == 2
+
+
 def test_identity_errors():
     with pytest.raises(BadParams):
         verify_identity("nonsense", {"graph": cycle(3)}, 2)

@@ -101,3 +101,18 @@ def test_det_matches_leibniz_oracle(q):
             ])
             assert not vf.det(singular).any(), n
     assert vf.det(np.zeros((0, 3, 3), dtype=np.uint8)).shape == (0,)
+
+
+def test_decode_assignments_takes_one_radix_per_position():
+    # digit 0 is the least significant, as itertools.product's last factor
+    from graphmotive.vecops import decode_assignments
+
+    radices = (2, 3, 2, 5)
+    want = [row[::-1] for row in itertools.product(*map(range, radices[::-1]))]
+    got = decode_assignments(0, len(want), len(radices), radices)
+    assert got.dtype == np.uint8
+    assert [tuple(row) for row in got.tolist()] == want
+    assert decode_assignments(7, 9, 3, (3, 3, 3)).tolist() == (
+        decode_assignments(7, 9, 3, 3).tolist()
+    ) == [[1, 2, 0], [2, 2, 0]]
+    assert decode_assignments(0, 2, 1, (300,)).dtype == np.uint16
