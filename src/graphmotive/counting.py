@@ -334,36 +334,37 @@ def verify_contract_delete_sums(g: Graph, q: int) -> bool:
     """Check the two signed contraction/deletion sums that express each of
     the two hypersurface-complement counts through the other one.
 
-    First sum: over forest subsets S (contracted) and arbitrary subsets T of
-    the contraction (deleted), signed by |T|, of tree-support counts; equals
-    the tree-complement count.  Second sum: over arbitrary subsets S
-    (deleted) and forest subsets T of the remainder (contracted), signed by
-    |T|, of tree-complement counts; equals the tree-support count.
+    First sum: over forest subsets A (contracted) and arbitrary subsets B of
+    the contraction (deleted), signed by |B|, of tree-support counts; equals
+    the tree-complement count.  Second sum: over arbitrary subsets B
+    (deleted) and forest subsets A of the remainder (contracted), signed by
+    |A|, of tree-complement counts; equals the tree-support count.  Both
+    range over the same pairs, since A is a forest of G - B iff of G, and
+    G - B / A is G / A - B: one enumeration, memoized for the run, lists
+    each labeled minor once with its sums of (-1)^|B| and of (-1)^|A|.
     """
     m = g.m
     if m > 16:
         raise TooLarge(f"signed sums capped at 16 edges, got {m}")
 
-    first = 0
-    for s in range(1 << m):
-        if not g.subset_is_forest(s):
-            continue
-        gc = g.contract(s)
-        for t in range(1 << gc.m):
-            val = count_tree_support(gc.delete_edges(t), q)
-            first += -val if bin(t).count("1") % 2 else val
-    ok_first = first == count_tree_complement(g, q)
+    def signed_minors():
+        found = {}
+        for a in range(1 << m):
+            if g.subset_is_forest(a):
+                contracted = g.contract(a)
+                for b in range(1 << contracted.m):
+                    minor = contracted.delete_edges(b)
+                    _, by_b, by_a = found.get(key := minor.key(), (minor, 0, 0))
+                    signs = (-1) ** b.bit_count(), (-1) ** a.bit_count()
+                    found[key] = (minor, by_b + signs[0], by_a + signs[1])
+        return found.values()
 
-    second = 0
-    for s in range(1 << m):
-        gd = g.delete_edges(s)
-        for t in range(1 << gd.m):
-            if not gd.subset_is_forest(t):
-                continue
-            val = count_tree_complement(gd.contract(t), q)
-            second += -val if bin(t).count("1") % 2 else val
-    ok_second = second == count_tree_support(g, q)
-    return ok_first and ok_second
+    first = second = 0
+    minors = stats.memoized(("signed minors", g.key()), signed_minors)
+    for minor, by_deleted, by_contracted in minors:
+        first += by_deleted * count_tree_support(minor, q)
+        second += by_contracted * count_tree_complement(minor, q)
+    return first == count_tree_complement(g, q) and second == count_tree_support(g, q)
 
 
 # ---------------------------------------------------------------------------

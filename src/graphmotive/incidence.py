@@ -11,6 +11,7 @@ without any enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .counting import (
@@ -32,6 +33,7 @@ _F_CHUNK = 1 << 15
 # symmetric forms up to congruence
 
 
+@lru_cache(maxsize=None)
 def _classes(s: int, q: int, r: int):
     """One representative per congruence class (Q ~ A^T Q A, A invertible)
     of the symmetric s x s forms of rank r over F_q, with the class size, as
@@ -99,52 +101,42 @@ def _span_ok(vf, fmats, constraints):
     return ok
 
 
-def _edge_ok(vf, fmats, Q, edges, q: int):
-    """Boolean vector: all edge conditions f_u^T Q f_v = 0 hold."""
+@lru_cache(maxsize=None)
+def _point_table(s: int, q: int):
+    """The P = 1 + (q^s - 1)/(q - 1) projective points of F_q^s, as (P, s)
+    uint8 field indices: the zero vector, then for m = 0 .. s-1 the q^m
+    vectors with leading one at position s-1-m, their m trailing entries
+    the base-q digits (least significant last) of the offset into the block."""
     import numpy as np
 
-    B = fmats.shape[0]
-    s = Q.shape[0]
-    ok = np.ones(B, dtype=bool)
-    if not edges or not s:
-        return ok
-    support = sorted({v for e in edges for v in e})
-    transformed = {}
-    for v in support:
-        W = np.zeros((B, s), dtype=np.uint8)
-        for a in range(s):
-            acc = None
-            for b in range(s):
-                qab = int(Q[a, b])
-                if qab == 0:
-                    continue
-                t = vf.flat_mul[qab * q + fmats[:, v, b]]
-                acc = t if acc is None else vf.add(acc, t)
-            if acc is not None:
-                W[:, a] = acc
-        transformed[v] = W
-    for u, v in edges:
-        ok &= vf.dot(fmats[:, u, :], transformed[v]) == 0
-    return ok
+    from .vecops import decode_assignments
+
+    blocks = [np.zeros((1, s), dtype=np.uint8)]
+    for m in range(s):
+        block = np.zeros((q**m, s), dtype=np.uint8)
+        block[:, s - 1 - m] = 1  # index 1 is the unit
+        block[:, s - m :] = decode_assignments(0, q**m, m, q)[:, ::-1]
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
-def _points(pidx, s: int, q: int, one: int):
-    """The vectors of F_q^s (field indices, one trailing axis of length s)
-    of the projective point indices pidx: 0 is the zero vector, and for
-    m = 0 .. s-1 the next q^m indices are the vectors with leading one at
-    position s-1-m, their m trailing entries the base-q digits of the offset
-    into that block (least significant last)."""
+@lru_cache(maxsize=None)
+def _form_tables(s: int, q: int, rank: int):
+    """Per class of _classes(s, q, rank), (class size, orth): orth is the
+    (P, P) bool table of p_a^T Q p_b == 0 over the rows p of _point_table."""
     import numpy as np
 
-    starts = np.array([1 + (q**m - 1) // (q - 1) for m in range(s + 1)])
-    m = np.searchsorted(starts, pidx, side="right") - 1  # -1: the zero vector
-    t = np.where(m >= 0, pidx - starts[np.maximum(m, 0)], 0)
-    out = np.zeros(pidx.shape + (s,), dtype=np.uint8)
-    for pos in range(s - 1, -1, -1):
-        out[..., pos] = t % q
-        t //= q
-    out[np.arange(s) == (s - 1 - m)[..., None]] = one
-    return out
+    from .vecops import VecField
+
+    vf, pts = VecField(make_field(q)), _point_table(s, q)
+    tables = []
+    for Q, size in _classes(s, q, rank):
+        value = np.zeros((len(pts), len(pts)), dtype=np.uint8)
+        for a, b in zip(*np.nonzero(Q)):
+            left = vf.mul(pts[:, a, None], Q[a, b])
+            value = vf.add(value, vf.mul(left, pts[None, :, b]))
+        tables.append((size, value == 0))
+    return tables
 
 
 def _pairs(g: Graph, s: int, q: int, rank: int):
@@ -157,29 +149,36 @@ def _pairs(g: Graph, s: int, q: int, rank: int):
     pairs of its representative.  Scaling one vertex's vector by a nonzero
     scalar keeps them too, so a map of points stands for (q-1)^(nonzero
     vertices) maps.  The scan is charged P^n maps times the number of
-    classes, P = 1 + (q^s - 1)/(q - 1).  Yields per chunk of maps
+    classes, P = 1 + (q^s - 1)/(q - 1), before the tables kept for the
+    process are read: P points when n >= 1, and P^2 entries per class when
+    g has an edge, so no table outgrows its scan.  Yields per chunk of maps
     (vf, fmats, nonzero, oks): fmats is (B, n, s), nonzero the number of
     nonzero vertices per map, and oks lazily gives (class size,
     edge-condition mask) for each class in turn.
     """
     if s < 0:
         raise BadParams(f"ambient dimension must be nonnegative, got {s}")
+    import numpy as np
+
     from .vecops import VecField
 
     edges = _edge_set(g)
-    n = g.n
     classes = _classes(s, q, rank)
-    field = make_field(q)
-    vf = VecField(field)
-    one = field.index(field.one)
+    vf = VecField(make_field(q))
     points = 1 + (q**s - 1) // (q - 1)
-    for pidx in _scan(
-        n, points, "incidence scan", per_row=len(classes), chunk=_F_CHUNK
-    ):
-        fmats = _points(pidx, s, q, one)
-        nonzero = (pidx != 0).sum(axis=1)
-        oks = ((size, _edge_ok(vf, fmats, Q, edges, q)) for Q, size in classes)
-        yield vf, fmats, nonzero, oks
+    scan = _scan(g.n, points, "incidence scan", per_row=len(classes), chunk=_F_CHUNK)
+    pts = _point_table(s, q) if g.n else np.zeros((0, s), dtype=np.uint8)
+    forms = _form_tables(s, q, rank) if edges else [(z, None) for _, z in classes]
+
+    def edge_mask(orth, pidx):
+        ok = np.ones(len(pidx), dtype=bool)
+        for u, v in edges:
+            ok &= orth[pidx[:, u], pidx[:, v]]
+        return ok
+
+    for pidx in scan:
+        oks = ((size, edge_mask(orth, pidx)) for size, orth in forms)
+        yield vf, pts[pidx], (pidx != 0).sum(axis=1), oks
 
 
 def _count(g: Graph, s: int, q: int, rank: int, constraints) -> int:

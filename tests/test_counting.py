@@ -371,6 +371,21 @@ def test_contract_delete_signed_sums():
             assert verify_contract_delete_sums(g, q)
 
 
+def test_signed_sums_enumerate_the_minors_once_per_run(monkeypatch):
+    # both sums and both orders read one enumeration of K4's 64 edge
+    # subsets; the counts are memoized per minor, so the work is unchanged
+    calls = []
+    is_forest = Graph.subset_is_forest
+    monkeypatch.setattr(
+        Graph, "subset_is_forest", lambda g, s: calls.append(s) or is_forest(g, s)
+    )
+    stats.reset()
+    assert verify_contract_delete_sums(complete(4), 2)
+    assert verify_contract_delete_sums(complete(4), 3)
+    assert len(calls) == 64
+    assert stats.evaluations == 905
+
+
 # ---------------------------------------------------------------------------
 # symmetric matrices under zero patterns
 

@@ -12,6 +12,7 @@ import pytest
 
 from graphmotive import (
     BadParams,
+    BudgetExceeded,
     Graph,
     NotAForest,
     PartialRank,
@@ -36,7 +37,13 @@ from graphmotive import (
     verify_identity,
 )
 from graphmotive.graphs import indices_from_mask
-from graphmotive.incidence import _classes, _count, count_A_slow
+from graphmotive.incidence import (
+    _classes,
+    _count,
+    _form_tables,
+    _point_table,
+    count_A_slow,
+)
 from graphmotive.vecops import VecField, decode_assignments
 
 
@@ -466,6 +473,64 @@ def test_class_scan_matches_per_form_scan():
             for rank in (0, s):
                 got = _count(g, s, q, rank, constraints)
                 assert got == int(accepts[rank][want].sum()), (g, s, q, constraints)
+
+
+def test_form_tables_match_element_products():
+    # the point table holds one representative of each line of F_q^s and
+    # the zero vector; each class's table says p^T Q p' == 0, checked here
+    # with the scalar field tables, for every class of every rank (q = 4
+    # brings in the alternating class of even q)
+    for q in (2, 3, 4, 5, 7):
+        field = make_field(q)
+        add, mul = field.add_table, field.mul_table
+        for s in range(4):
+            pts = _point_table(s, q).tolist()
+            assert len(pts) == 1 + (q**s - 1) // (q - 1) and pts[0] == [0] * s
+            lines = {
+                tuple(mul[c][x] for x in p) for p in pts[1:] for c in range(1, q)
+            }
+            assert len(lines) == q**s - 1, (s, q)
+            for r in range(s + 1):
+                tables = _form_tables(s, q, r)
+                assert len(tables) == len(_classes(s, q, r))
+                for (Q, size), (tsize, orth) in zip(_classes(s, q, r), tables):
+                    assert tsize == size and orth.shape == (len(pts), len(pts))
+                    Q = Q.tolist()
+                    for a, p in enumerate(pts):
+                        for b, p2 in enumerate(pts):
+                            val = 0
+                            for i in range(s):
+                                for j in range(s):
+                                    val = add[val][mul[mul[p[i]][Q[i][j]]][p2[j]]]
+                            assert orth[a, b] == (val == 0), (s, q, r, p, p2)
+
+
+def test_tables_are_built_once_and_only_within_the_charge():
+    def misses():
+        return _point_table.cache_info().misses, _form_tables.cache_info().misses
+
+    # the empty graph scans one map, so no table of the 16843010 points of
+    # P^3(F_256) is built
+    before = misses()
+    for r in range(5):
+        stats.reset()
+        assert count_A(discrete(0), 4, r, 0, 256) == counting.count_symmetric_rank(
+            4, r, 256
+        )
+    assert misses() == before
+    # P3 into F_3^7 (1094^3 maps times 2 classes) is refused before any
+    # table is built
+    stats.reset()
+    with pytest.raises(BudgetExceeded):
+        count_J(path(3), 7, 3)
+    assert misses() == before
+    # the tables outlive a run: two runs build each one once
+    _point_table.cache_clear()
+    _form_tables.cache_clear()
+    for _ in range(2):
+        stats.reset()
+        assert count_A(path(3), 2, 1, 2, 3) == brute_table(path(3), 2, 3)[(1, 2)]
+    assert misses() == (1, 1)
 
 
 def test_incidence_counts_build_no_form_census(monkeypatch):
