@@ -51,6 +51,8 @@ class CountCache:
                         continue
                     try:
                         rec = json.loads(line)
+                        if not isinstance(rec, dict):
+                            continue
                         if rec.get("version") != CACHE_VERSION:
                             continue
                         q, value = rec["q"], rec["value"]

@@ -90,17 +90,6 @@ def _edge_set(g: Graph) -> list[tuple[int, int]]:
     return sorted({(min(u, v), max(u, v)) for u, v in g.edges})
 
 
-def _span_ok(vf, fmats, constraints):
-    """Boolean vector: every (vertex mask, span dimension) requirement holds
-    for the rows of f the mask selects."""
-    import numpy as np
-
-    ok = np.ones(fmats.shape[0], dtype=bool)
-    for mask, need in constraints:
-        ok &= vf.rank(fmats[:, indices_from_mask(mask), :]) == need
-    return ok
-
-
 @lru_cache(maxsize=None)
 def _point_table(s: int, q: int):
     """The P = 1 + (q^s - 1)/(q - 1) projective points of F_q^s, as (P, s)
@@ -139,6 +128,26 @@ def _form_tables(s: int, q: int, rank: int):
     return tables
 
 
+@lru_cache(maxsize=None)
+def _span_table(s: int, q: int, k: int):
+    """Span dimension of every k-tuple (p_0, ..., p_(k-1)) of rows of
+    _point_table(s, q), as uint8 at flat index sum of p_i P^i.  The empty
+    tuple spans 0 and needs no point table.  Built in _F_CHUNK chunks."""
+    import numpy as np
+
+    from .vecops import VecField, decode_assignments
+
+    if k == 0:
+        return np.zeros(1, dtype=np.uint8)
+    vf, pts = VecField(make_field(q)), _point_table(s, q)
+    total = len(pts) ** k
+    table = np.empty(total, dtype=np.uint8)
+    for start in range(0, total, _F_CHUNK):
+        stop = min(start + _F_CHUNK, total)
+        table[start:stop] = vf.rank(pts[decode_assignments(start, stop, k, len(pts))])
+    return table
+
+
 def _pairs(g: Graph, s: int, q: int, rank: int):
     """Scan of the (Q, f) pairs with Q of the given rank and f any map from
     the vertices into F_q^s, one form per congruence class and one point of
@@ -150,24 +159,20 @@ def _pairs(g: Graph, s: int, q: int, rank: int):
     scalar keeps them too, so a map of points stands for (q-1)^(nonzero
     vertices) maps.  The scan is charged P^n maps times the number of
     classes, P = 1 + (q^s - 1)/(q - 1), before the tables kept for the
-    process are read: P points when n >= 1, and P^2 entries per class when
-    g has an edge, so no table outgrows its scan.  Yields per chunk of maps
-    (vf, fmats, nonzero, oks): fmats is (B, n, s), nonzero the number of
-    nonzero vertices per map, and oks lazily gives (class size,
-    edge-condition mask) for each class in turn.
+    process are read: the P points and P^2 entries per class when g has
+    an edge, so no table outgrows its scan.  Yields per chunk of maps
+    (pidx, nonzero, oks): pidx is (B, n), each vertex's row of _point_table,
+    nonzero the number of nonzero vertices per map, and oks lazily gives
+    (class size, edge-condition mask) for each class in turn.
     """
     if s < 0:
         raise BadParams(f"ambient dimension must be nonnegative, got {s}")
     import numpy as np
 
-    from .vecops import VecField
-
     edges = _edge_set(g)
     classes = _classes(s, q, rank)
-    vf = VecField(make_field(q))
     points = 1 + (q**s - 1) // (q - 1)
     scan = _scan(g.n, points, "incidence scan", per_row=len(classes), chunk=_F_CHUNK)
-    pts = _point_table(s, q) if g.n else np.zeros((0, s), dtype=np.uint8)
     forms = _form_tables(s, q, rank) if edges else [(z, None) for _, z in classes]
 
     def edge_mask(orth, pidx):
@@ -178,7 +183,7 @@ def _pairs(g: Graph, s: int, q: int, rank: int):
 
     for pidx in scan:
         oks = ((size, edge_mask(orth, pidx)) for size, orth in forms)
-        yield vf, pts[pidx], (pidx != 0).sum(axis=1), oks
+        yield pidx, (pidx != 0).sum(axis=1), oks
 
 
 def _count(g: Graph, s: int, q: int, rank: int, constraints) -> int:
@@ -190,9 +195,12 @@ def _count(g: Graph, s: int, q: int, rank: int, constraints) -> int:
     one scan histograms the span dimension of the last one's mask, memoized
     for the run on (g, s, q, rank, the other requirements sorted, that
     mask): every dimension asked of that mask reads the same scan.  With no
-    requirement the empty mask stands in, of span 0 on every map.  Each scanned map of
-    points weighs (q-1)^(nonzero vertices); the weights pass int64, so they
-    are summed in Python ints."""
+    requirement the empty mask stands in, of span 0 on every map.  A mask's
+    span dimension is one gather of its vertices' point rows into
+    _span_table, read only once the scan has charged; a mask of k vertices
+    reads P^k <= P^n entries, and the empty mask reads none.  Each scanned
+    map of points weighs (q-1)^(nonzero vertices); the weights pass int64,
+    so they are summed in Python ints."""
     if s >= 0 and any(need > min(s, mask.bit_count()) for mask, need in constraints):
         return 0
     *others, (mask, need) = constraints or ((0, 0),)
@@ -202,14 +210,24 @@ def _count(g: Graph, s: int, q: int, rank: int, constraints) -> int:
         import numpy as np
 
         n = g.n
+        points = 1 + (q**s - 1) // (q - 1)
         rows = indices_from_mask(mask)
         dims = min(s, len(rows)) + 1
         weights = [(q - 1) ** j for j in range(n + 1)]
         totals = [0] * dims
-        for vf, fmats, nonzero, oks in _pairs(g, s, q, rank):
-            want = _span_ok(vf, fmats, others)
+
+        def span(pidx, cols):
+            if not cols:
+                return np.zeros(len(pidx), dtype=np.uint8)
+            flat = pidx[:, cols].astype(np.int64) @ points ** np.arange(len(cols))
+            return _span_table(s, q, len(cols))[flat]
+
+        for pidx, nonzero, oks in _pairs(g, s, q, rank):
+            want = np.ones(len(pidx), dtype=bool)
+            for other, other_need in others:
+                want &= span(pidx, indices_from_mask(other)) == other_need
             # one cell per (span dimension of the mask, nonzero vertices)
-            cell = vf.rank(fmats[:, rows, :]).astype(np.int64) * (n + 1) + nonzero
+            cell = span(pidx, rows).astype(np.int64) * (n + 1) + nonzero
             for size, ok in oks:
                 hist = np.bincount(cell[ok & want], minlength=dims * (n + 1))
                 for d, by_nonzero in enumerate(hist.reshape(dims, n + 1).tolist()):

@@ -85,14 +85,19 @@ class PartialRank:
             seen.add(mask)
 
 
+_AXIOM_CAP = 12
+
+
 def validate_axioms(matroid: Matroid) -> bool:
     """Check of the rank axioms in their local form, equivalent to the usual
     ones for integer functions (Oxley, Matroid Theory, section 1.3): the
     empty set has rank 0, adding one element raises the rank by 0 or 1, and
     if adding x and adding y each leave the rank of X unchanged, so does
     adding both."""
-    if matroid.m > 12:
-        raise TooLarge(f"axiom validation capped at 12 elements, got {matroid.m}")
+    if matroid.m > _AXIOM_CAP:
+        raise TooLarge(
+            f"axiom validation capped at {_AXIOM_CAP} elements, got {matroid.m}"
+        )
     r = matroid.ranks
     m = matroid.m
     if r[0] != 0:
@@ -573,6 +578,11 @@ def matroid_from_text(text: str) -> Matroid:
         m = int(head[0])
     except ValueError as exc:
         raise ParseError(f"bad ground-set size {head[0]!r}") from exc
+    # checked before the table's 2^m length is computed
+    if m < 0:
+        raise ParseError(f"ground-set size must be nonnegative, got {m}")
+    if m > _AXIOM_CAP:
+        raise TooLarge(f"axiom validation capped at {_AXIOM_CAP} elements, got {m}")
     body = []
     for ln in rows[1:]:
         body.extend(ln.split())

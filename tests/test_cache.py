@@ -74,6 +74,11 @@ def test_damaged_lines_are_skipped(tmp_path):
         '{"version": 1, "kind": "XG", "input": "2:0-1", "params": {}, "q": 5, "value": "54"}',
         '{"version": 1, "kind": "XG", "input": "2:0-1", "params": {}, "q": 7.0, "value": 6}',
         '{"version": 1, "kind": "XG", "input": "2:0-1", "params": {}, "q": true, "value": 6}',
+        # valid JSON that is not a record
+        "[1, 2]",
+        '"x"',
+        "3",
+        "null",
         "",
         json.dumps(good),
     ]

@@ -529,12 +529,16 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         path = tmp_path / f"not_matroid_{i}.txt"
         path.write_text(text)
         not_matroids.append(str(path))
-    # files over a structural cap: 13 elements, 17 columns, no field of order 257
+    # files over a structural cap: 13 elements, 17 columns, no field of order
+    # 257, a negative and a huge ground-set size
     over_cap = []
     for i, text in enumerate([
         "13\n" + " ".join(str(min(1, bin(x).count("1"))) for x in range(1 << 13)) + "\n",
         "vector 2 17 1\n" + "1\n" * 17,
         "vector 257 2 2\n0 1\n1 0\n",
+        # ground-set sizes refused before the 2^m table length is computed
+        "-1\n0\n",
+        "100000000000\n0\n",
     ]):
         path = tmp_path / f"over_cap_{i}.txt"
         path.write_text(text)

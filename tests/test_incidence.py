@@ -42,6 +42,7 @@ from graphmotive.incidence import (
     _count,
     _form_tables,
     _point_table,
+    _span_table,
     count_A_slow,
 )
 from graphmotive.vecops import VecField, decode_assignments
@@ -505,32 +506,51 @@ def test_form_tables_match_element_products():
                             assert orth[a, b] == (val == 0), (s, q, r, p, p2)
 
 
-def test_tables_are_built_once_and_only_within_the_charge():
-    def misses():
-        return _point_table.cache_info().misses, _form_tables.cache_info().misses
+def test_span_tables_match_element_ranks():
+    # entry sum p_i P^i is the rank of the point rows p_0 .. p_(k-1), by
+    # scalar row reduction; k = 0 and s = 0 give the one-entry zero table
+    for q in (2, 3, 4, 5):
+        field = make_field(q)
+        for s in range(4):
+            pts = _point_table(s, q).tolist()
+            P = len(pts)
+            for k in range(4):
+                table = _span_table(s, q, k)
+                assert table.dtype == np.uint8 and table.shape == (P**k,)
+                for flat, got in enumerate(table.tolist()):
+                    tup = [flat // P**i % P for i in range(k)]
+                    want = rank_from_index_rows(field, [pts[p] for p in tup])
+                    assert got == want, (s, q, k, tup)
 
-    # the empty graph scans one map, so no table of the 16843010 points of
-    # P^3(F_256) is built
-    before = misses()
+
+def test_tables_are_built_once_and_only_within_the_charge():
+    tables = (_point_table, _form_tables, _span_table)
+
+    def misses():
+        return tuple(table.cache_info().misses for table in tables)
+
+    # cleared first, so a table an earlier test built cannot hide a build
+    for table in tables:
+        table.cache_clear()
+    # the empty graph scans one map, whose empty mask reads no span table,
+    # so no table (nor the 16843010 points of P^3(F_256)) is built
     for r in range(5):
         stats.reset()
         assert count_A(discrete(0), 4, r, 0, 256) == counting.count_symmetric_rank(
             4, r, 256
         )
-    assert misses() == before
+    assert misses() == (0, 0, 0)
     # P3 into F_3^7 (1094^3 maps times 2 classes) is refused before any
     # table is built
     stats.reset()
     with pytest.raises(BudgetExceeded):
         count_J(path(3), 7, 3)
-    assert misses() == before
+    assert misses() == (0, 0, 0)
     # the tables outlive a run: two runs build each one once
-    _point_table.cache_clear()
-    _form_tables.cache_clear()
     for _ in range(2):
         stats.reset()
         assert count_A(path(3), 2, 1, 2, 3) == brute_table(path(3), 2, 3)[(1, 2)]
-    assert misses() == (1, 1)
+    assert misses() == (1, 1, 1)
 
 
 def test_incidence_counts_build_no_form_census(monkeypatch):
