@@ -102,9 +102,15 @@ def _load_matroid(args) -> matroids.Matroid:
         body = s[1:]
         r_txt, m_txt = body.split(",", 1)
         try:
-            return matroids.uniform(int(r_txt), int(m_txt))
+            r, m = int(r_txt), int(m_txt)
         except ValueError as exc:
             raise ParseError(f"bad uniform-matroid argument {text!r}") from exc
+        # the cap of a rank-table file, checked before the 2^m table is built
+        if m > matroids._AXIOM_CAP:
+            raise ParseError(
+                f"uniform matroid capped at {matroids._AXIOM_CAP} elements, got {m}"
+            )
+        return matroids.uniform(r, m)
     try:
         return matroids.matroid_from_text(_read_input(s))
     except TooLarge as exc:  # a file over a structural cap is a usage error

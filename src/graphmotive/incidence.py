@@ -93,20 +93,13 @@ def _edge_set(g: Graph) -> list[tuple[int, int]]:
 @lru_cache(maxsize=None)
 def _point_table(s: int, q: int):
     """The P = 1 + (q^s - 1)/(q - 1) projective points of F_q^s, as (P, s)
-    uint8 field indices: the zero vector, then for m = 0 .. s-1 the q^m
-    vectors with leading one at position s-1-m, their m trailing entries
-    the base-q digits (least significant last) of the offset into the block."""
+    uint8 field indices: the zero vector, then vecops.projective_points."""
     import numpy as np
 
-    from .vecops import decode_assignments
+    from .vecops import projective_points
 
-    blocks = [np.zeros((1, s), dtype=np.uint8)]
-    for m in range(s):
-        block = np.zeros((q**m, s), dtype=np.uint8)
-        block[:, s - 1 - m] = 1  # index 1 is the unit
-        block[:, s - m :] = decode_assignments(0, q**m, m, q)[:, ::-1]
-        blocks.append(block)
-    return np.concatenate(blocks)
+    zero = np.zeros((1, s), dtype=np.uint8)
+    return np.concatenate([zero, projective_points(s, q, 0, (q**s - 1) // (q - 1))])
 
 
 @lru_cache(maxsize=None)

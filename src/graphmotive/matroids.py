@@ -9,7 +9,7 @@ as incidence conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from .counting import CountTable, count_invertible, stats
 from .errors import BadParams, BudgetExceeded, ParseError, TooLarge
@@ -151,81 +151,6 @@ def uniform(r: int, m: int) -> Matroid:
 
 
 # ---------------------------------------------------------------------------
-# incremental span tracking
-
-
-class Span:
-    """Forward-eliminated basis over a tabled field; vectors are lists of
-    element indices."""
-
-    def __init__(self, field: FieldSpec):
-        self._f = field
-        self.rows: list[tuple[int, list[int]]] = []  # (pivot, normalized row)
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def residual(self, v: list[int]) -> list[int]:
-        f = self._f
-        mul = f.mul_table
-        add = f.add_table
-        neg = f.neg_table
-        v = list(v)
-        for piv, row in self.rows:
-            c = v[piv]
-            if c == 0:
-                continue
-            for i in range(piv, len(v)):
-                v[i] = add[v[i]][neg[mul[c][row[i]]]]
-        return v
-
-    def contains(self, v: list[int]) -> bool:
-        return not any(self.residual(v))
-
-    def add(self, v: list[int]) -> bool:
-        """Insert a vector; True if the dimension grew."""
-        res = self.residual(v)
-        for piv, c in enumerate(res):
-            if c != 0:
-                mul = self._f.mul_table[self._f.inv_table[c]]
-                row = [mul[x] for x in res]
-                self.rows.append((piv, row))
-                self.rows.sort(key=lambda t: t[0])
-                return True
-        return False
-
-
-def _span_of(field: FieldSpec, vectors: list[list[int]]) -> Span:
-    sp = Span(field)
-    for v in vectors:
-        sp.add(v)
-    return sp
-
-
-def _combos(field: FieldSpec, basis_rows: list[list[int]], s: int):
-    """One vector on every line through the origin in the span of the basis
-    rows: the combinations whose first nonzero coefficient is one, in a fixed
-    order.  With no rows the span is {0}, and its zero vector is yielded."""
-    q = field.q
-    mul = field.mul_table
-    add = field.add_table
-    if not basis_rows:
-        yield [0] * s
-        return
-    for lead, first in enumerate(basis_rows):
-        rest = basis_rows[lead + 1 :]
-        for coeffs in product(range(q), repeat=len(rest)):
-            v = list(first)
-            for c, row in zip(coeffs, rest):
-                if c == 0:
-                    continue
-                for i in range(s):
-                    v[i] = add[v[i]][mul[c][row[i]]]
-            yield v
-
-
-# ---------------------------------------------------------------------------
 # counting rank-table representations
 
 
@@ -261,14 +186,79 @@ def _level_constraints(matroid: Matroid, order: list[int]):
     return levels
 
 
-def _greedy_basis(matroid: Matroid) -> list[int]:
+def _greedy_basis(matroid: Matroid, mask: int) -> list[int]:
+    """Elements of the mask, lowest first, that raise the rank."""
     basis = []
     cur = 0
-    for e in range(matroid.m):
+    for e in indices_from_mask(mask):
         if matroid.ranks[cur | (1 << e)] > matroid.ranks[cur]:
             basis.append(e)
             cur |= 1 << e
     return basis
+
+
+# field entries one chunk of the representation search holds: per frontier
+# row its minors and form coefficients, per candidate row (frontier row times
+# candidate line) its form values and grown prefix
+_X_CHUNK = 1 << 18
+
+
+def _membership_plan(matroid: Matroid, reps, gen: int | None, pos: dict[int, int], s: int):
+    """One level's constraint sets as linear forms on the candidate vector.
+
+    v in F_q^s lies in the span of k independent rows B exactly when every
+    (k+1)-minor of [B; v] vanishes.  Expanded along v, the minor on the
+    columns S = (S_0 < ... < S_k) is a linear form in v whose coefficient at
+    S_i is (-1)^i times the k-minor of B on S minus S_i.  B is a basis of
+    the rep picked greedily by rank, as prefix positions.
+
+    Some sets hold for every candidate and get no forms: a rep of rank 0
+    (a candidate is zero exactly when the element is a loop), of rank s
+    (it spans everything), or one that must hold the vector and whose
+    closure contains the generator (the candidates' span lies in its span); an element with a rep that must
+    hold it has a generator.
+
+    Per frontier row the coefficients are slots of one table: slot 0 is
+    zero, and each rank-k group of R reps appends its R x M k-minors (one
+    per k-column set) and then their negatives.  Returns the groups as
+    (k, (R, k) basis positions, (M, k) column sets), the (T, s) slot index
+    of every form, the first form of each tested rep, and those reps'
+    must-be-inside flags."""
+    import numpy as np
+
+    groups: dict[int, tuple[list, list]] = {}
+    for rep, inside in reps:
+        k = matroid.ranks[rep]
+        if k == 0 or k >= s or (inside and gen & ~matroid.closure(rep) == 0):
+            continue
+        group = groups.setdefault(k, ([], []))
+        group[0].append([pos[x] for x in _greedy_basis(matroid, rep)])
+        group[1].append(inside)
+    minor_groups = []
+    slots = 1
+    forms: list[list[int]] = []
+    first: list[int] = []
+    flags: list[bool] = []
+    for k, (bases, insides) in sorted(groups.items()):
+        cols = list(combinations(range(s), k))
+        where = {c: i for i, c in enumerate(cols)}
+        R, M = len(bases), len(cols)
+        minor_groups.append((k, np.array(bases, dtype=np.intp), np.array(cols, dtype=np.intp)))
+        for r, inside in enumerate(insides):
+            first.append(len(forms))
+            flags.append(inside)
+            for S in combinations(range(s), k + 1):
+                row = [0] * s
+                for i, j in enumerate(S):
+                    row[j] = slots + (i % 2) * R * M + r * M + where[S[:i] + S[i + 1 :]]
+                forms.append(row)
+        slots += 2 * R * M
+    return (
+        minor_groups,
+        np.array(forms, dtype=np.intp).reshape(len(forms), s),
+        np.array(first, dtype=np.intp),
+        np.array(flags, dtype=bool),
+    )
 
 
 def count_X(matroid: Matroid, s: int | None = None, q: int = 2) -> int:
@@ -285,10 +275,17 @@ def count_X(matroid: Matroid, s: int | None = None, q: int = 2) -> int:
     one projective point at a time.  Scaling its vector by a nonzero scalar
     leaves every span unchanged, so all q - 1 vectors on a line have the
     same number of completions: only the vector whose first nonzero
-    coefficient over the rows generating its candidate space is one is
-    tried, and the result is multiplied by q - 1 per such element.  A loop
-    takes the zero vector, which no other element can.  The ledger counts
-    these normalized candidates, the DFS nodes.
+    coefficient over a basis of its candidate space is one is tried, and
+    the result is multiplied by q - 1 per such element.  A loop takes the
+    zero vector, which no other element can.
+
+    The search goes level by level over a frontier of surviving prefixes,
+    depth-first in chunks of at most _X_CHUNK field entries; a frontier row
+    whose lines overflow a chunk is split over line slices.  A chunk's
+    candidates meet every constraint set of their level at once: the sets
+    become the linear forms of _membership_plan, read with one gather from
+    a table of minors and evaluated with one VecField.dot.  The ledger
+    counts the candidates, one node per (prefix, line) pair.
     """
     if s is None:
         s = matroid.rank
@@ -298,72 +295,99 @@ def count_X(matroid: Matroid, s: int | None = None, q: int = 2) -> int:
         return 0
     if matroid.m == 0:
         return 1
-    field = make_field(q)
+    import numpy as np
+
+    from .vecops import VecField, projective_points
+
+    vf = VecField(make_field(q))
     limit = stats.budget
 
     pinned = s == matroid.rank
     if pinned:
-        basis = _greedy_basis(matroid)
+        basis = _greedy_basis(matroid, (1 << matroid.m) - 1)
         order = basis + [e for e in range(matroid.m) if e not in set(basis)]
     else:
         basis = []
         order = list(range(matroid.m))
-    levels = _level_constraints(matroid, order)
-    one = field.index(field.one)
-    units = [[one if i == j else 0 for i in range(s)] for j in range(s)]
     scaled = sum(1 for e in order[len(basis) :] if matroid.ranks[1 << e])
 
-    visited = 0
-    assigned: dict[int, list[int]] = {}
+    # per searched level: prefix positions of a basis of the candidate
+    # space (None for all of F_q^s), its dimension and number of lines, the
+    # field entries a chunk holds per frontier row and per candidate row
+    # (see _X_CHUNK), and the membership plan of the level's constraint sets
+    pos = {e: t for t, e in enumerate(order)}
+    plans = {}
+    for t, (e, reps, gen) in enumerate(_level_constraints(matroid, order)):
+        if t < len(basis):
+            # the pinned unit vector, no node: independence from every
+            # prefix subset holds automatically, and no closure membership
+            # can be required of a rank-raising element
+            continue
+        gen_rows = None if gen is None else [pos[x] for x in _greedy_basis(matroid, gen)]
+        d = s if gen is None else len(gen_rows)
+        lines = (q**d - 1) // (q - 1) if d else 1
+        membership = _membership_plan(matroid, reps, gen, pos, s)
+        minor_groups, forms = membership[:2]
+        row_cells = forms.size + sum(b.size * len(c) * k for k, b, c in minor_groups)
+        cand_cells = max(1, len(forms) + (t + 1) * s)
+        plans[t] = (gen_rows, d, lines, row_cells, cand_cells, membership)
 
-    def dfs(t: int) -> int:
-        nonlocal visited
-        if t == len(order):
-            return 1
-        e, reps, gen = levels[t]
-        if pinned and t < len(basis):
-            # standard basis vector: independence from every prefix subset
-            # holds automatically, and no closure membership can be required
-            # of a rank-raising element
-            assigned[e] = units[t]
-            total = dfs(t + 1)
-            del assigned[e]
-            return total
-
-        spans = [
-            (_span_of(field, [assigned[x] for x in indices_from_mask(rep)]), inside)
-            for rep, inside in reps
-        ]
-        if gen is not None:
-            gen_rows = [
-                row
-                for _, row in _span_of(
-                    field, [assigned[x] for x in indices_from_mask(gen)]
-                ).rows
-            ]
+    def extend(t: int, rows, c0: int, c1: int):
+        """The prefixes rows + one candidate of lines [c0, c1) that meet
+        every constraint of level t."""
+        gen_rows, d, *_, (minor_groups, forms, first, flags) = plans[t]
+        F, C = len(rows), c1 - c0
+        if gen_rows is None:
+            cand = np.broadcast_to(projective_points(s, q, c0, c1), (F, C, s))
         else:
-            gen_rows = units
-        total = 0
-        for vec in _combos(field, gen_rows, s):
-            visited += 1
-            if visited > limit:
-                raise BudgetExceeded(visited, limit, "representation scan")
-            ok = True
-            for span, inside in spans:
-                if span.contains(vec) != inside:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assigned[e] = vec
-            total += dfs(t + 1)
-            del assigned[e]
-        return total
+            cand = np.zeros((F, C, s), dtype=np.uint8)  # d = 0: the zero vector
+            coeffs = projective_points(d, q, c0, c1)
+            for i, r in enumerate(gen_rows):
+                cand = vf.add(cand, vf.mul(coeffs[None, :, i, None], rows[:, None, r, :]))
+        ok = np.ones((F, C), dtype=bool)
+        if len(first):
+            table = [np.zeros((F, 1), dtype=np.uint8)]
+            for k, bases, cols in minor_groups:
+                sub = rows[:, bases][..., cols].transpose(0, 1, 3, 2, 4)  # (F, R, M, k, k)
+                minors = vf.det(sub.reshape(-1, k, k)).reshape(F, -1)
+                table += [minors, vf.neg(minors)]
+            coef = np.concatenate(table, axis=1)[:, forms]  # (F, T, s)
+            vals = vf.dot(coef[:, None], cand[:, :, None])  # (F, C, T)
+            outside = np.logical_or.reduceat(vals != 0, first, axis=2)
+            ok = (outside != flags).all(axis=2)
+        f_idx, c_idx = np.nonzero(ok)
+        return np.concatenate([rows[f_idx], cand[f_idx, c_idx][:, None, :]], axis=1)
 
+    start = np.eye(s, dtype=np.uint8)[None, : len(basis)]  # index 1 is the unit
+    stack = [(len(basis), start, 0)]
+    found = 0
+    visited = 0
     try:
-        count = dfs(0) * (q - 1) ** scaled
+        while stack:
+            t, rows, c0 = stack.pop()
+            if t == len(order):
+                found += len(rows)
+                continue
+            lines, row_cells, cand_cells = plans[t][2:5]
+            # all lines per row while one row fits a chunk, else line slices
+            per_row = max(1, min(lines, (_X_CHUNK - row_cells) // cand_cells))
+            take = max(1, _X_CHUNK // (row_cells + per_row * cand_cells))
+            c1 = min(lines, c0 + per_row)
+            if c1 < lines:  # more lines of the same (single) row
+                stack.append((t, rows, c1))
+            elif len(rows) > take:
+                stack.append((t, rows[take:], 0))
+            rows = rows[:take]
+            visited += len(rows) * (c1 - c0)
+            if visited > limit:
+                visited = limit + 1
+                raise BudgetExceeded(visited, limit, "representation scan")
+            grown = extend(t, rows, c0, c1)
+            if len(grown):
+                stack.append((t + 1, grown, 0))
     finally:
         stats.evaluations += visited
+    count = found * (q - 1) ** scaled
     if pinned:
         count *= count_invertible(s, q)
     return count
@@ -386,7 +410,7 @@ def count_X_oracle(matroid: Matroid, s: int | None = None, q: int = 2) -> int:
         for sub in range(1 << t):
             mask = sub | (1 << t)
             rows = [vecs[x] for x in indices_from_mask(mask)]
-            if _span_of(field, rows).dim != matroid.ranks[mask]:
+            if rank_from_index_rows(field, rows) != matroid.ranks[mask]:
                 return False
         return True
 

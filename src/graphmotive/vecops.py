@@ -164,3 +164,21 @@ def decode_assignments(
         out[:, pos] = (idx % radix).astype(out.dtype)
         idx //= radix
     return out
+
+
+def projective_points(d: int, q: int, start: int, stop: int) -> np.ndarray:
+    """Rows [start, stop) of the (q^d - 1)/(q - 1) vectors of F_q^d whose
+    first nonzero entry is one, one per line through the origin, as uint8
+    field indices: for m = 0 .. d-1 the q^m vectors with leading one at
+    position d-1-m, their m trailing entries the base-q digits (least
+    significant last) of the offset into the block."""
+    out = np.zeros((stop - start, d), dtype=np.uint8)
+    base = 0
+    for m in range(d):
+        lo, hi = max(start, base), min(stop, base + q**m)
+        if lo < hi:
+            out[lo - start : hi - start, d - 1 - m] = 1  # index 1 is the unit
+            digits = decode_assignments(lo - base, hi - base, m, q)
+            out[lo - start : hi - start, d - m :] = digits[:, ::-1]
+        base += q**m
+    return out

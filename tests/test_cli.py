@@ -574,6 +574,9 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["count", "--kind", "Zrank", "--name", "P3", "--r", "-1", "--q", "2"],
         *(["count", "--kind", "XM", "--matroid", path, "--q", "2"] for path in not_matroids),
         *(["count", "--kind", "XM", "--matroid", path, "--q", "2"] for path in over_cap),
+        # uniform matroids over the rank-table cap, refused before 2^m ranks
+        ["count", "--kind", "XM", "--matroid", "U2,13", "--q", "2"],
+        ["count", "--kind", "XM", "--matroid", "U2,100000000000", "--q", "2"],
         ["verify", "--identity", "grassmann-factor", "--matroid", not_matroids[0], "--s", "6", "--q", "2"],
     ]
     for argv in bad_invocations:

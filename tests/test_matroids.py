@@ -8,6 +8,7 @@ import itertools
 
 import pytest
 
+from graphmotive import matroids, vecops
 from graphmotive import (
     BadParams,
     BudgetExceeded,
@@ -172,7 +173,7 @@ def test_count_X_matches_oracle_on_uniforms():
 
 
 def test_count_X_matches_oracle_on_random_vector_matroids():
-    # loops, parallel elements and an ambient space one larger than the
+    # loops, parallel elements and ambient spaces up to two larger than the
     # rank exercise every branch of the normalized search
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -193,7 +194,7 @@ def test_count_X_matches_oracle_on_random_vector_matroids():
                 cols.append([mul[c][x] for x in base])
             else:
                 cols.append(draw(st.lists(st.integers(0, q - 1), min_size=dim, max_size=dim)))
-        return q, cols, draw(st.integers(0, 1))
+        return q, cols, draw(st.integers(0, 2))
 
     @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
     @hypothesis.given(configurations())
@@ -216,6 +217,55 @@ def test_count_X_conventions():
     stats.reset(budget=10)
     with pytest.raises(BudgetExceeded):
         count_X(uniform(2, 4), 3, 3)
+
+
+def test_count_X_in_shrunken_chunks(monkeypatch):
+    # chunks of 1, 50 and 1000 field entries: one candidate per chunk, line
+    # slices of a frontier row (the 13 lines of F_3^3 that each row of the
+    # unpinned U2,4 search tries), and several rows per chunk
+    cases = [(fano(), 3, 4), (uniform(2, 4), 3, 3), (uniform(3, 5), 4, 2)]
+    want = []
+    for case in cases:
+        stats.reset()
+        want.append((count_X(*case), stats.evaluations))
+    dot, sizes = vecops.VecField.dot, []
+
+    def recorded(self, u, v):
+        out = dot(self, u, v)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(vecops.VecField, "dot", recorded)
+    for chunk in (1, 50, 1000):
+        monkeypatch.setattr(matroids, "_X_CHUNK", chunk)
+        sizes.clear()
+        for case, expected in zip(cases, want):
+            stats.reset()
+            assert (count_X(*case), stats.evaluations) == expected, (chunk, case)
+        # the budget is charged per chunk, yet refused at the same node
+        stats.reset(budget=10)
+        with pytest.raises(BudgetExceeded):
+            count_X(uniform(2, 4), 3, 3)
+        assert stats.evaluations == 11
+    # a chunk's form values fit in it, though a candidate of the unpinned
+    # U3,5 search meets up to 48 forms: the chunk bounds rows times forms
+    assert 0 < max(sizes) <= 1000
+
+
+def test_maclane_plane_counts_depend_on_q_mod_3():
+    # MacLane's plane, AG(2,3) minus a point: eight points on eight 3-point
+    # lines.  It is representable over a field exactly when x^2 - x + 1 has
+    # a root there (Oxley, Matroid Theory), and over F_q it has one
+    # projective class per root: none for q = 2 mod 3, one for q = 0 mod 3,
+    # two for q = 1 mod 3, so the count is quasi-polynomial in q
+    cols = [[x, y, 1] for x in range(3) for y in range(3) if (x, y) != (0, 0)]
+    maclane = vector_matroid(make_field(3), cols)
+    lines = [m for m in range(1 << 8) if bin(m).count("1") == 3 and maclane.ranks[m] == 2]
+    assert len(lines) == 8
+    classes = {2: 0, 3: 1, 4: 2, 5: 0, 7: 2, 8: 0, 9: 1}
+    for q, c in classes.items():
+        assert count_X(maclane, 3, q) == c * (q - 1) ** 7 * count_invertible(3, q), q
+    assert count_X_oracle(maclane, 3, 2) == 0
 
 
 def test_fano_representation_counts():
