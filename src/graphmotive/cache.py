@@ -13,6 +13,8 @@ import json
 import os
 from dataclasses import dataclass
 
+from .errors import ParseError
+
 CACHE_VERSION = 1
 _ENV_VAR = "GRAPHMOTIVE_CACHE"
 _DEFAULT_DIR = ".gm-cache"
@@ -43,11 +45,15 @@ class CountCache:
         directory = directory if directory is not None else cache_dir()
         path = os.path.join(directory, _FILE_NAME)
         entries: dict = {}
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
+        if not os.path.exists(path):
+            return CountCache(path=path, entries=entries)
+        try:
+            # an undecodable byte becomes U+FFFD, which json.dumps never
+            # writes unescaped, so its line is skipped as damaged
+            with open(path, "r", encoding="utf-8", errors="replace") as fh:
                 for line in fh:
                     line = line.strip()
-                    if not line:
+                    if not line or "\ufffd" in line:
                         continue
                     try:
                         rec = json.loads(line)
@@ -63,12 +69,10 @@ class CountCache:
                             rec["kind"], rec["input"], dict(rec["params"]), q
                         )
                         entries[key] = value
-                    except (
-                        ValueError,
-                        KeyError,
-                        TypeError,
-                    ):  # skip damaged lines, never fail the run
-                        continue
+                    except (ValueError, KeyError, TypeError):
+                        continue  # skip damaged lines, never fail the run
+        except OSError as exc:
+            raise ParseError(f"cannot read cache {path!r}: {exc}") from exc
         return CountCache(path=path, entries=entries)
 
     def get(self, kind: str, input_text: str, params: dict, q: int):
@@ -91,16 +95,19 @@ class CountCache:
             "q": q,
             "value": value,
         }
-        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
         line = json.dumps(rec, sort_keys=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            try:
-                import fcntl
+        try:
+            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+            with open(self.path, "a", encoding="utf-8") as fh:
+                try:
+                    import fcntl
 
-                fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-                fh.write(line + "\n")
-                fh.flush()
-                fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-            except ImportError:  # non-POSIX: best effort append
-                fh.write(line + "\n")
+                    fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+                    fh.write(line + "\n")
+                    fh.flush()
+                    fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
+                except ImportError:  # non-POSIX: best effort append
+                    fh.write(line + "\n")
+        except OSError as exc:
+            raise ParseError(f"cannot write cache {self.path!r}: {exc}") from exc
         self.entries[key] = value

@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+from collections import namedtuple
 
 from . import counting, graphs, incidence, matroids, polys
 from .cache import CountCache
@@ -30,8 +31,6 @@ from .errors import (
 from .ffield import TABLE_LIMIT, _prime_power, make_field
 from .matroids import PartialRank
 from .motive import IntPoly, NoFit, fit_polynomial
-
-COUNT_KINDS = ("YG", "XG", "Z", "Zo", "Zrank", "A", "J", "K", "H", "XM", "L")
 
 GRAPH_IDENTITIES = (
     "firstred",
@@ -155,14 +154,34 @@ def _require(args, *names):
 # count dispatch
 
 
-def _count_input(kind: str, args):
+# One --kind: the input it loads ("graph", "matroid" or "pi"), the options
+# it requires, its count at one q, and the options its cache key holds only
+# when given.  Each count looks its function up per call, so a function
+# replaced after import (a test spy, a tracer) runs.
+Count = namedtuple("Count", "input needs compute optional", defaults=((),))
+COUNTS = {
+    "YG": Count("graph", (), lambda g, a, q: counting.count_tree_complement(g, q)),
+    "XG": Count("graph", (), lambda g, a, q: counting.count_tree_support(g, q)),
+    "Z": Count("graph", (), lambda g, a, q: counting.count_blocked_nondegenerate(g, q)),
+    "Zo": Count("graph", (), lambda g, a, q: counting.count_supported_nondegenerate(g, q)),
+    "Zrank": Count("graph", ("r",), lambda g, a, q: counting.count_blocked_rank(g, a.r, q)),
+    "A": Count("graph", ("s", "r", "k"), lambda g, a, q: incidence.count_A(g, a.s, a.r, a.k, q)),
+    "J": Count("graph", ("s",), lambda g, a, q: incidence.count_J(g, a.s, q)),
+    "K": Count("graph", ("s",), lambda g, a, q: incidence.count_K(g, a.s, q)),
+    "H": Count("graph", ("s",), lambda g, a, q: incidence.count_H(g, a.s, q)),
+    "XM": Count("matroid", (), lambda m, a, q: matroids.count_X(m, s=a.s, q=q), ("s",)),
+    "L": Count("pi", ("s",), lambda pi, a, q: incidence.count_L(a.s, pi, q)),
+}
+
+
+def _count_input(source: str, args):
     """The request's input, loaded once, and its exact serialization for the
     cache key (labeled, not canonical: isomorphic inputs cache separately by
     design)."""
-    if kind == "XM":
+    if source == "matroid":
         matroid = _load_matroid(args)
         return matroid, matroids.matroid_to_text(matroid)
-    if kind == "L":
+    if source == "pi":
         _require(args, "pi")
         pi = _parse_partial(args.pi)
         return pi, f"partial {pi.ground} " + ";".join(f"{m}={d}" for m, d in pi.pairs)
@@ -170,58 +189,19 @@ def _count_input(kind: str, args):
     return g, graphs.format_edge_list(g)
 
 
-def _count_params(kind: str, args) -> dict:
-    if kind in ("YG", "XG", "Z", "Zo"):
-        return {}
-    if kind == "Zrank":
-        _require(args, "r")
-        return {"r": args.r}
-    if kind == "A":
-        _require(args, "s", "r", "k")
-        return {"s": args.s, "r": args.r, "k": args.k}
-    if kind in ("J", "K", "H", "L"):
-        _require(args, "s")
-        return {"s": args.s}
-    if kind == "XM":
-        return {} if args.s is None else {"s": args.s}
-    raise ParseError(f"unknown count kind {kind!r}")
-
-
-def _compute_count(kind: str, obj, args, q: int) -> int:
-    """One field order of the table; obj is the input _count_input loaded."""
-    if kind == "XM":
-        return matroids.count_X(obj, s=args.s, q=q)
-    if kind == "L":
-        return incidence.count_L(args.s, obj, q)
-    if kind == "YG":
-        return counting.count_tree_complement(obj, q)
-    if kind == "XG":
-        return counting.count_tree_support(obj, q)
-    if kind == "Z":
-        return counting.count_blocked_nondegenerate(obj, q)
-    if kind == "Zo":
-        return counting.count_supported_nondegenerate(obj, q)
-    if kind == "Zrank":
-        return counting.count_blocked_rank(obj, args.r, q)
-    if kind == "A":
-        return incidence.count_A(obj, args.s, args.r, args.k, q)
-    if kind == "J":
-        return incidence.count_J(obj, args.s, q)
-    if kind == "K":
-        return incidence.count_K(obj, args.s, q)
-    if kind == "H":
-        return incidence.count_H(obj, args.s, q)
-    raise ParseError(f"unknown count kind {kind!r}")
-
-
 def _build_table(args, out_errors: list[str]) -> CountTable:
     """Computes the requested table, consulting the on-disk cache per field
     order; per-q budget overruns and orders too large to enumerate are
     reported and the remaining orders still run."""
-    kind = args.kind
+    kind, spec = args.kind, COUNTS[args.kind]
     qs = _parse_q_list(args.q)
-    obj, input_text = _count_input(kind, args)
-    params = _count_params(kind, args)
+    obj, input_text = _count_input(spec.input, args)
+    _require(args, *spec.needs)
+    params = {
+        name: getattr(args, name)
+        for name in spec.needs + spec.optional
+        if getattr(args, name) is not None
+    }
     cache = CountCache.open()
     counts = {}
     for q in qs:
@@ -229,7 +209,7 @@ def _build_table(args, out_errors: list[str]) -> CountTable:
             make_field(q)  # an order above 256 has no field: this row fails
             val = cache.get(kind, input_text, params, q)
             if val is None:
-                val = _compute_count(kind, obj, args, q)
+                val = spec.compute(obj, args, q)
                 cache.put(kind, input_text, params, q, val)
         except (BudgetExceeded, TooLarge) as exc:
             out_errors.append(f"q={q}: {exc}")
@@ -476,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_count = command("count", "point-count table", "json", "csv")
-    p_count.add_argument("--kind", required=True, choices=COUNT_KINDS)
+    p_count.add_argument("--kind", required=True, choices=COUNTS)
     input_options(p_count)
 
     p_verify = command("verify", "check a counting identity", "json")
@@ -490,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_fit = command("fit", "fit an integer polynomial to counts", "json", "csv")
-    p_fit.add_argument("--kind", required=True, choices=COUNT_KINDS)
+    p_fit.add_argument("--kind", required=True, choices=COUNTS)
     input_options(p_fit)
     p_fit.add_argument("--max-deg", type=int, dest="max_deg")
 

@@ -18,7 +18,7 @@ from itertools import product
 
 from .errors import BadArgs, BudgetExceeded, NotSimple, TooLarge
 from .ffield import FieldSpec, make_field, rank_from_index_rows
-from .graphs import Graph, indices_from_mask, mask_from_indices
+from .graphs import Graph, _UnionFind, indices_from_mask, mask_from_indices
 from .polys import MultilinearPoly, spanning_tree_poly, tree_complement_poly
 
 DEFAULT_BUDGET = 10**8
@@ -404,21 +404,11 @@ def _symmetric_batches(
     2^|F| q^(cells - |F|) rows are decoded in all."""
     import numpy as np
 
-    parent = list(range(d))
-
-    def root(v):
-        while parent[v] != v:
-            v = parent[v]
-        return v
-
+    uf = _UnionFind(d)
     forest, rest = [], []
     for i, j in cells:
-        a, b = root(i), root(j)
-        if a == b:  # a diagonal cell, or one that closes a cycle
-            rest.append((i, j))
-        else:
-            parent[a] = b
-            forest.append((i, j))
+        # a diagonal cell, or one that closes a cycle, is not a forest cell
+        (forest if uf.union(i, j) else rest).append((i, j))
     order = forest + rest
     radices = (2,) * len(forest) + (q,) * len(rest)
 
@@ -565,16 +555,8 @@ def _count_pattern_rank(
 
 def _edge_pairs(g: Graph) -> frozenset[tuple[int, int]]:
     if not g.is_simple():
-        raise NotSimple("symmetric-matrix patterns need a simple graph")
+        raise NotSimple("this count needs a simple graph")
     return frozenset((min(u, v), max(u, v)) for u, v in g.edges)
-
-
-def _nonedge_pairs(g: Graph) -> frozenset[tuple[int, int]]:
-    edges = _edge_pairs(g)
-    return frozenset(
-        (i, j) for i in range(g.n) for j in range(i + 1, g.n)
-        if (i, j) not in edges
-    )
 
 
 def count_blocked_rank(g: Graph, r: int, q: int) -> int:
@@ -591,7 +573,7 @@ def count_blocked_nondegenerate(g: Graph, q: int) -> int:
 def count_supported_nondegenerate(g: Graph, q: int) -> int:
     """Invertible symmetric matrices vanishing at every non-edge position
     (off the diagonal); entries at edges and on the diagonal are free."""
-    return _count_pattern_rank(g.n, q, _nonedge_pairs(g), g.n)
+    return _count_pattern_rank(g.n, q, _edge_pairs(g.complement()), g.n)
 
 
 def verify_free_vertex_extension(g: Graph, q: int) -> bool:

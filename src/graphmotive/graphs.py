@@ -106,12 +106,7 @@ class Graph:
 
     def betti(self) -> tuple[int, int]:
         """(b0, b1): component count and independent cycle count."""
-        uf = _UnionFind(self.n)
-        for u, v in self.edges:
-            uf.union(u, v)
-        b0 = len({uf.find(v) for v in range(self.n)})
-        b1 = self.m - self.n + b0
-        return b0, b1
+        return self.subset_betti((1 << self.m) - 1)
 
     def is_connected(self) -> bool:
         return self.betti()[0] == 1

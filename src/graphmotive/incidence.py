@@ -15,6 +15,7 @@ from functools import lru_cache
 from itertools import product
 
 from .counting import (
+    _edge_pairs,
     _scan,
     count_invertible,
     count_subspaces,
@@ -22,7 +23,7 @@ from .counting import (
     count_symmetric_rank,
     stats,
 )
-from .errors import BadParams, NotAForest, NotSimple
+from .errors import BadParams, NotAForest
 from .ffield import make_field, rank_from_index_rows
 from .graphs import Graph, indices_from_mask
 from .matroids import Matroid, PartialRank, count_X
@@ -84,12 +85,6 @@ def _classes(s: int, q: int, r: int):
     return [(base, total - size), (other, size)]
 
 
-def _edge_set(g: Graph) -> list[tuple[int, int]]:
-    if not g.is_simple():
-        raise NotSimple("incidence counts need a simple graph")
-    return sorted({(min(u, v), max(u, v)) for u, v in g.edges})
-
-
 @lru_cache(maxsize=None)
 def _point_table(s: int, q: int):
     """The P = 1 + (q^s - 1)/(q - 1) projective points of F_q^s, as (P, s)
@@ -141,48 +136,18 @@ def _span_table(s: int, q: int, k: int):
     return table
 
 
-def _pairs(g: Graph, s: int, q: int, rank: int):
-    """Scan of the (Q, f) pairs with Q of the given rank and f any map from
-    the vertices into F_q^s, one form per congruence class and one point of
-    P^(s-1), or the zero vector, per vertex.
-
-    Q -> A^T Q A, f -> A^-1 f keeps every edge condition, the rank of Q and
-    the span of every vertex subset, so a class holds its size times the
-    pairs of its representative.  Scaling one vertex's vector by a nonzero
-    scalar keeps them too, so a map of points stands for (q-1)^(nonzero
-    vertices) maps.  The scan is charged P^n maps times the number of
-    classes, P = 1 + (q^s - 1)/(q - 1), before the tables kept for the
-    process are read: the P points and P^2 entries per class when g has
-    an edge, so no table outgrows its scan.  Yields per chunk of maps
-    (pidx, nonzero, oks): pidx is (B, n), each vertex's row of _point_table,
-    nonzero the number of nonzero vertices per map, and oks lazily gives
-    (class size, edge-condition mask) for each class in turn.
-    """
-    if s < 0:
-        raise BadParams(f"ambient dimension must be nonnegative, got {s}")
-    import numpy as np
-
-    edges = _edge_set(g)
-    classes = _classes(s, q, rank)
-    points = 1 + (q**s - 1) // (q - 1)
-    scan = _scan(g.n, points, "incidence scan", per_row=len(classes), chunk=_F_CHUNK)
-    forms = _form_tables(s, q, rank) if edges else [(z, None) for _, z in classes]
-
-    def edge_mask(orth, pidx):
-        ok = np.ones(len(pidx), dtype=bool)
-        for u, v in edges:
-            ok &= orth[pidx[:, u], pidx[:, v]]
-        return ok
-
-    for pidx in scan:
-        oks = ((size, edge_mask(orth, pidx)) for size, orth in forms)
-        yield pidx, (pidx != 0).sum(axis=1), oks
-
-
 def _count(g: Graph, s: int, q: int, rank: int, constraints) -> int:
     """(Q, f) pairs with Q of the given rank whose map meets every (vertex
     mask, span dimension) requirement.  An unsatisfiable requirement gives
-    zero with no scan (a negative s goes on to _pairs, which rejects it).
+    zero with no scan; a negative s is rejected.
+
+    The scan takes one form per congruence class of the rank and one point
+    of P^(s-1), or the zero vector, per vertex.  Q -> A^T Q A, f -> A^-1 f
+    keeps every edge condition, the rank of Q and the span of every vertex
+    subset, so a class holds its size times the pairs of its
+    representative.  Scaling one vertex's vector by a nonzero scalar keeps
+    them too, so a scanned map of points weighs (q-1)^(nonzero vertices);
+    the weights pass int64, so they are summed in Python ints.
 
     The maps are filtered by every requirement but the caller's last, and
     one scan histograms the span dimension of the last one's mask, memoized
@@ -190,20 +155,29 @@ def _count(g: Graph, s: int, q: int, rank: int, constraints) -> int:
     mask): every dimension asked of that mask reads the same scan.  With no
     requirement the empty mask stands in, of span 0 on every map.  A mask's
     span dimension is one gather of its vertices' point rows into
-    _span_table, read only once the scan has charged; a mask of k vertices
-    reads P^k <= P^n entries, and the empty mask reads none.  Each scanned
-    map of points weighs (q-1)^(nonzero vertices); the weights pass int64,
-    so they are summed in Python ints."""
+    _span_table.
+
+    The scan is charged P^n maps times the number of classes, P = 1 +
+    (q^s - 1)/(q - 1), before the tables kept for the process are read: the
+    P points and P^2 entries per class when g has an edge, and P^k <= P^n
+    span entries per mask of k vertices (none for the empty mask), so no
+    table outgrows its scan."""
     if s >= 0 and any(need > min(s, mask.bit_count()) for mask, need in constraints):
         return 0
     *others, (mask, need) = constraints or ((0, 0),)
     others = tuple(sorted(others))
 
     def compute():
+        if s < 0:
+            raise BadParams(f"ambient dimension must be nonnegative, got {s}")
         import numpy as np
 
         n = g.n
+        edges = sorted(_edge_pairs(g))
+        classes = _classes(s, q, rank)
         points = 1 + (q**s - 1) // (q - 1)
+        scan = _scan(n, points, "incidence scan", per_row=len(classes), chunk=_F_CHUNK)
+        forms = _form_tables(s, q, rank) if edges else [(z, None) for _, z in classes]
         rows = indices_from_mask(mask)
         dims = min(s, len(rows)) + 1
         weights = [(q - 1) ** j for j in range(n + 1)]
@@ -215,14 +189,17 @@ def _count(g: Graph, s: int, q: int, rank: int, constraints) -> int:
             flat = pidx[:, cols].astype(np.int64) @ points ** np.arange(len(cols))
             return _span_table(s, q, len(cols))[flat]
 
-        for pidx, nonzero, oks in _pairs(g, s, q, rank):
+        for pidx in scan:
             want = np.ones(len(pidx), dtype=bool)
             for other, other_need in others:
                 want &= span(pidx, indices_from_mask(other)) == other_need
             # one cell per (span dimension of the mask, nonzero vertices)
-            cell = span(pidx, rows).astype(np.int64) * (n + 1) + nonzero
-            for size, ok in oks:
-                hist = np.bincount(cell[ok & want], minlength=dims * (n + 1))
+            cell = span(pidx, rows).astype(np.int64) * (n + 1) + (pidx != 0).sum(axis=1)
+            for size, orth in forms:
+                ok = want.copy()
+                for u, v in edges:  # f(u)^T Q f(v) = 0, one orth lookup
+                    ok &= orth[pidx[:, u], pidx[:, v]]
+                hist = np.bincount(cell[ok], minlength=dims * (n + 1))
                 for d, by_nonzero in enumerate(hist.reshape(dims, n + 1).tolist()):
                     totals[d] += size * sum(w * c for w, c in zip(weights, by_nonzero))
         return totals
@@ -251,7 +228,7 @@ def count_A_slow(g: Graph, s: int, r: int, k: int, q: int) -> int:
         raise BadParams(f"parameters must be nonnegative, got s={s} r={r} k={k}")
     if r > s or k > min(s, g.n):
         return 0
-    edges = _edge_set(g)
+    edges = sorted(_edge_pairs(g))
     n = g.n
     stats.charge(q ** (s * (s + 1) // 2 + s * n), "incidence scan")
     field = make_field(q)

@@ -369,6 +369,11 @@ def count_X(matroid: Matroid, s: int | None = None, q: int = 2) -> int:
                 found += len(rows)
                 continue
             lines, row_cells, cand_cells = plans[t][2:5]
+            # every node of the entry is visited before the search ends, so
+            # an entry over the budget is refused before any of it decodes
+            if visited + len(rows) * (lines - c0) > limit:
+                visited = limit + 1
+                raise BudgetExceeded(visited, limit, "representation scan")
             # all lines per row while one row fits a chunk, else line slices
             per_row = max(1, min(lines, (_X_CHUNK - row_cells) // cand_cells))
             take = max(1, _X_CHUNK // (row_cells + per_row * cand_cells))
@@ -379,9 +384,6 @@ def count_X(matroid: Matroid, s: int | None = None, q: int = 2) -> int:
                 stack.append((t, rows[take:], 0))
             rows = rows[:take]
             visited += len(rows) * (c1 - c0)
-            if visited > limit:
-                visited = limit + 1
-                raise BudgetExceeded(visited, limit, "representation scan")
             grown = extend(t, rows, c0, c1)
             if len(grown):
                 stack.append((t + 1, grown, 0))

@@ -82,7 +82,12 @@ def test_damaged_lines_are_skipped(tmp_path):
         "",
         json.dumps(good),
     ]
-    path.write_text("\n".join(lines) + "\n")
+    # lines that are not UTF-8, one of them inside an otherwise valid record
+    not_utf8 = [
+        b"\xff\xfe not utf-8",
+        b'{"version": 1, "kind": "XG", "input": "2:0-1\xff", "params": {}, "q": 2, "value": 9}',
+    ]
+    path.write_bytes(b"\n".join(not_utf8) + b"\n" + ("\n".join(lines) + "\n").encode())
 
     cache = CountCache.open(str(tmp_path))
     assert cache.entries == {("XG", "2:0-1", (), 2): 1}

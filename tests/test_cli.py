@@ -585,6 +585,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert code == 2, argv
         assert captured.err.startswith("error:"), argv
         assert captured.err.count("\n") == 1, argv
+    # a kind without the options it requires names the first one missing
+    firsts = [("Zrank", "r"), ("A", "s"), ("J", "s"), ("K", "s"), ("H", "s"), ("L", "pi")]
+    for kind, first in firsts:
+        assert main(["count", "--kind", kind, "--name", "P3", "--q", "2"]) == 2, kind
+        assert capsys.readouterr().err == f"error: --{first} is required here\n", kind
     # the error names the rank the user gave, not count_A's parameters
     main(["count", "--kind", "H", "--name", "P3", "--s", "-2", "--q", "2"])
     assert "s=-2" in capsys.readouterr().err
@@ -601,6 +606,20 @@ def test_usage_errors_exit_two(tmp_path, capsys):
             main(argv)
         capsys.readouterr()
         assert info.value.code == 2, argv
+
+
+def test_unusable_cache_location_exits_two(tmp_path, monkeypatch, capsys):
+    # GRAPHMOTIVE_CACHE naming a regular file cannot take a write, and a
+    # counts.jsonl that is a directory cannot be read
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    (tmp_path / "with_dir" / "counts.jsonl").mkdir(parents=True)
+    for location in (a_file, tmp_path / "with_dir"):
+        monkeypatch.setenv("GRAPHMOTIVE_CACHE", str(location))
+        assert main(["count", "--kind", "YG", "--name", "C3", "--q", "2"]) == 2, location
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot"), location
+        assert captured.err.count("\n") == 1 and captured.out == "", location
 
 
 def test_dispatch_sees_a_command_replaced_after_the_first_call(monkeypatch, capsys):

@@ -635,13 +635,13 @@ def test_pi_strat_histograms_the_subset_it_varies(monkeypatch):
     from graphmotive import incidence
 
     scans = []
-    pairs = incidence._pairs
+    scan = incidence._scan
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         scans.append(args)
-        return pairs(*args)
+        return scan(*args, **kwargs)
 
-    monkeypatch.setattr(incidence, "_pairs", spy)
+    monkeypatch.setattr(incidence, "_scan", spy)
     params = {
         "graph": path(3), "s": 2, "t": 1, "subset": 0b011,
         "base": PartialRank(3, ((0b100, 1),)),

@@ -252,6 +252,25 @@ def test_count_X_in_shrunken_chunks(monkeypatch):
     assert 0 < max(sizes) <= 1000
 
 
+def test_count_X_refuses_an_entry_over_the_budget_before_decoding_it(monkeypatch):
+    # unpinned U2,3 in F_2^12: the first level tries the 4095 lines of
+    # F_2^12, and its 4095 survivors each try 4095 lines again, which is
+    # over the budget, so the second level is refused before any of it
+    # decodes, with the same evaluation count as a refusal mid-search
+    points, calls = vecops.projective_points, []
+
+    def recorded(*args):
+        calls.append(args)
+        return points(*args)
+
+    monkeypatch.setattr(vecops, "projective_points", recorded)
+    stats.reset(budget=10**5)
+    with pytest.raises(BudgetExceeded):
+        count_X(uniform(2, 3), 12, 2)
+    assert stats.evaluations == 10**5 + 1
+    assert len(calls) <= 2
+
+
 def test_maclane_plane_counts_depend_on_q_mod_3():
     # MacLane's plane, AG(2,3) minus a point: eight points on eight 3-point
     # lines.  It is representable over a field exactly when x^2 - x + 1 has
