@@ -10,7 +10,6 @@ from .errors import (
     BadArgs,
     BadVertex,
     BudgetExceeded,
-    DivisionByZero,
     GraphMotiveError,
     InsufficientPoints,
     LengthMismatch,
@@ -21,10 +20,8 @@ from .errors import (
     TooLarge,
 )
 from .ffield import (
-    FieldElem,
     FieldSpec,
     make_field,
-    matrix_rank_minors,
     rank_from_index_rows,
 )
 from .graphs import (

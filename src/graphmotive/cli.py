@@ -242,9 +242,10 @@ def _emit_table(table: CountTable, fmt: str):
 
 def cmd_poly(args) -> int:
     g = _load_graph(args)
+    # first, so the determinant cap refuses before any tree is enumerated
+    ok = polys.matrix_tree_check(g)
     p = polys.tree_complement_poly(g)
     qpoly = polys.spanning_tree_poly(g)
-    ok = polys.matrix_tree_check(g)
     if args.format == "json":
         doc = {
             "P": p.format(),

@@ -74,11 +74,6 @@ def _scan(positions: int, q, what: str, per_row=1, chunk=_VECTOR_CHUNK):
     )
 
 
-def _const_index(field: FieldSpec, c: int) -> int:
-    """Index of the image of the integer c in the field."""
-    return field.index(field.element_from_int(c))
-
-
 # ---------------------------------------------------------------------------
 # zero counting for multilinear polynomials
 
@@ -88,7 +83,7 @@ def _index_terms(field: FieldSpec, terms) -> list[tuple[int, tuple[int, ...]]]:
     whose coefficient vanishes in the field."""
     out = []
     for mask, coeff in terms:
-        cidx = _const_index(field, coeff)
+        cidx = coeff % field.p
         if cidx:
             out.append((cidx, tuple(indices_from_mask(mask))))
     return out
@@ -711,10 +706,9 @@ def symmetric_extension_census(
     if not (0 <= r1 <= d1 <= d2):
         raise BadArgs(f"need 0 <= r1 <= d1 <= d2, got ({r1}, {d1}, {d2})")
     field = make_field(q)
-    one = field.index(field.one)
     if base_rows is None:
         base_rows = [
-            [one if (i == j and i < r1) else 0 for j in range(d1)]
+            [1 if (i == j and i < r1) else 0 for j in range(d1)]
             for i in range(d1)
         ]
     else:

@@ -15,10 +15,6 @@ class NotPrimePower(GraphMotiveError):
     """Field order is not p^n for a prime p."""
 
 
-class DivisionByZero(GraphMotiveError, ZeroDivisionError):
-    """Inverse of the zero element requested."""
-
-
 class NotSimple(GraphMotiveError):
     """Operation requires a simple graph (no loops, no multiple edges)."""
 

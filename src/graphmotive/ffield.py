@@ -1,39 +1,25 @@
 """Exact arithmetic in small finite fields F_q, q = p^n.
 
-Elements are coefficient vectors over F_p in a fixed polynomial basis.  The
-modulus is chosen deterministically (the lexicographically least monic
-irreducible of degree n, coefficients compared low-degree-first), so the same
-q always yields the same element order and the same multiplication table.
-Fields exist only for q <= 256, as their four operation tables: every count
-is an exhaustive scan over element indices, and every element operation is
-one table lookup.
+An element is a coefficient vector (c_0, ..., c_{n-1}) over F_p in a fixed
+polynomial basis, and is known only by its index: the integer whose base-p
+digits are c_0 (least significant) to c_{n-1}.  So 0 is zero, 1 is the unit
+and the integer c is index c mod p.  The modulus is chosen deterministically
+(the lexicographically least monic irreducible of degree n, coefficients
+compared low-degree-first), so the same q always yields the same tables.
+Fields exist only for q <= 256, and only as their four operation tables:
+every count is an exhaustive scan over element indices, and every element
+operation is one table lookup.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
 
-from .errors import (
-    DivisionByZero,
-    LengthMismatch,
-    NotPrimePower,
-    TooLarge,
-)
+from .errors import NotPrimePower, TooLarge
 
 TABLE_LIMIT = 256
-
-
-@dataclass(frozen=True)
-class FieldElem:
-    """One field element: residues mod p, constant coefficient first."""
-
-    coeffs: tuple[int, ...]
-
-    def __repr__(self) -> str:  # keep test failure output readable
-        return f"FieldElem{self.coeffs}"
 
 
 def _prime_power(q: int) -> tuple[int, int]:
@@ -119,7 +105,12 @@ def _least_irreducible(p: int, n: int) -> tuple[int, ...]:
 
 
 class FieldSpec:
-    """A concrete F_q with fixed basis, element order and operation tables."""
+    """A concrete F_q as its four operation tables over element indices.
+
+    Index i is the element whose coefficient c_j is the j-th base-p digit of
+    i, c_0 least significant: 0 is zero, 1 is the unit, and the integer c is
+    index c mod p.  inv_table maps zero to zero.
+    """
 
     def __init__(self, q: int):
         if q > TABLE_LIMIT:
@@ -129,86 +120,25 @@ class FieldSpec:
         self.p = p
         self.n = n
         self.modulus: tuple[int, ...] = _least_irreducible(p, n)
-        self.elements: tuple[FieldElem, ...] = tuple(
-            FieldElem(tuple(reversed(digits)))
-            for digits in itertools.product(range(p), repeat=n)
-        )
-        # elements are in lexicographic order on (c_0, ..., c_{n-1}) with the
-        # zero element first; index(e) inverts the enumeration.
-        self._index = {e.coeffs: i for i, e in enumerate(self.elements)}
-        self.zero = self.elements[0]
-        self.one = self.element_from_int(1)
-        self._build_tables()
-        self._np = None
-
-    # -- construction of the index tables ------------------------------
-
-    def _build_tables(self) -> None:
-        q, p, n = self.q, self.p, self.n
-        elems = self.elements
+        # itertools.product varies its last digit fastest, so reversing each
+        # tuple puts c_0 first and index i holds the base-p digits of i
+        coeffs = [tuple(reversed(d)) for d in itertools.product(range(p), repeat=n)]
+        index = {c: i for i, c in enumerate(coeffs)}
         add = [[0] * q for _ in range(q)]
         mul = [[0] * q for _ in range(q)]
-        neg = [0] * q
-        for i, a in enumerate(elems):
-            ac = a.coeffs
-            neg[i] = self._index[tuple((-c) % p for c in ac)]
+        for i, ac in enumerate(coeffs):
             for j in range(i, q):
-                bc = elems[j].coeffs
+                bc = coeffs[j]
                 s = tuple((x + y) % p for x, y in zip(ac, bc))
-                add[i][j] = add[j][i] = self._index[s]
+                add[i][j] = add[j][i] = index[s]
                 prod = _pmod(_pmul(_ptrim(ac), _ptrim(bc), p), self.modulus, p)
                 prod = prod + (0,) * (n - len(prod))
-                mul[i][j] = mul[j][i] = self._index[prod]
-        inv = [0] * q  # zero has no inverse; its entry is 0, as in np_tables
-        for i in range(1, q):
-            inv[i] = mul[i].index(1)
+                mul[i][j] = mul[j][i] = index[prod]
         self.add_table = add
         self.mul_table = mul
-        self.neg_table = neg
-        self.inv_table = inv
-
-    # -- element <-> index ----------------------------------------------
-
-    def index(self, a: FieldElem) -> int:
-        return self._index[a.coeffs]
-
-    def element(self, i: int) -> FieldElem:
-        return self.elements[i]
-
-    def element_from_int(self, c: int) -> FieldElem:
-        """Image of an integer under Z -> F_q (c mod p as a constant)."""
-        return FieldElem((c % self.p,) + (0,) * (self.n - 1))
-
-    # -- element-level arithmetic ---------------------------------------
-
-    def _check(self, a: FieldElem) -> None:
-        if len(a.coeffs) != self.n:
-            raise LengthMismatch(
-                f"element has {len(a.coeffs)} coefficients, field needs {self.n}"
-            )
-
-    def add(self, a: FieldElem, b: FieldElem) -> FieldElem:
-        self._check(a)
-        self._check(b)
-        return self.elements[self.add_table[self.index(a)][self.index(b)]]
-
-    def neg(self, a: FieldElem) -> FieldElem:
-        self._check(a)
-        return self.elements[self.neg_table[self.index(a)]]
-
-    def sub(self, a: FieldElem, b: FieldElem) -> FieldElem:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: FieldElem, b: FieldElem) -> FieldElem:
-        self._check(a)
-        self._check(b)
-        return self.elements[self.mul_table[self.index(a)][self.index(b)]]
-
-    def inv(self, a: FieldElem) -> FieldElem:
-        self._check(a)
-        if a == self.zero:
-            raise DivisionByZero("inverse of zero")
-        return self.elements[self.inv_table[self.index(a)]]
+        self.neg_table = [row.index(0) for row in add]
+        self.inv_table = [0] + [row.index(1) for row in mul[1:]]
+        self._np = None
 
     # -- numpy views of the tables --------------------------------------
 
@@ -280,41 +210,3 @@ def rank_from_index_rows(field: FieldSpec, rows: list[list[int]]) -> int:
         if rank == len(work):
             break
     return rank
-
-
-def matrix_rank_minors(field: FieldSpec, rows: list[list[int]]) -> int:
-    """Independent rank oracle: largest k with a nonzero k x k minor of the
-    matrix whose rows are lists of element indices."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-
-    def at(i: int, j: int) -> FieldElem:
-        return field.element(rows[i][j])
-
-    def det(rsel: tuple[int, ...], csel: tuple[int, ...]) -> FieldElem:
-        if len(rsel) == 1:
-            return at(rsel[0], csel[0])
-        total = field.zero
-        for pos, r in enumerate(rsel):
-            sub = det(rsel[:pos] + rsel[pos + 1 :], csel[1:])
-            term = field.mul(at(r, csel[0]), sub)
-            if pos % 2:
-                term = field.neg(term)
-            total = field.add(total, term)
-        return total
-
-    best = 0
-    for k in range(1, min(nrows, ncols) + 1):
-        found = False
-        for rsel in itertools.combinations(range(nrows), k):
-            for csel in itertools.combinations(range(ncols), k):
-                if det(rsel, csel) != field.zero:
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            best = k
-        else:
-            break
-    return best

@@ -50,12 +50,11 @@ def _classes(s: int, q: int, r: int):
     import numpy as np
 
     field = make_field(q)
-    one = field.index(field.one)
     total = count_symmetric_rank(s, r, q)
     base = np.zeros((s, s), dtype=np.uint8)
     if r == 0:
         return [(base, total)]
-    base[range(r), range(r)] = one
+    base[range(r), range(r)] = 1
     other = base.copy()
     m, odd_rank = divmod(r, 2)
     if q % 2:
@@ -66,7 +65,7 @@ def _classes(s: int, q: int, r: int):
         else:
             # other's type: eps = +1 when (-1)^m d is a square, that is when
             # (-1)^m is not; order is |O^eps_2m|, its isometry group
-            eps = -1 if m % 2 == 0 or field.neg_table[one] in squares else 1
+            eps = -1 if m % 2 == 0 or field.neg_table[1] in squares else 1
             order = 2 * q ** (m * (m - 1)) * (q**m - eps)
             for i in range(1, m):
                 order *= q ** (2 * i) - 1
@@ -77,8 +76,8 @@ def _classes(s: int, q: int, r: int):
         return [(base, total)]
     else:
         other[range(r), range(r)] = 0
-        other[range(0, r, 2), range(1, r, 2)] = one
-        other[range(1, r, 2), range(0, r, 2)] = one
+        other[range(0, r, 2), range(1, r, 2)] = 1
+        other[range(1, r, 2), range(0, r, 2)] = 1
         size = count_subspaces(r, s, q) * q ** (m * (m - 1))
         for i in range(1, m + 1):
             size *= q ** (2 * i - 1) - 1

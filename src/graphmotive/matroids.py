@@ -505,11 +505,10 @@ def von_staudt_check(field: FieldSpec) -> VonStaudtReport:
                 return tuple(scale[x] for x in p)
         return p
 
-    one = field.index(field.one)
-    e1 = (one, 0, 0)
-    e2 = (0, one, 0)
-    e3 = (0, 0, one)
-    u = (one, one, one)
+    e1 = (1, 0, 0)
+    e2 = (0, 1, 0)
+    e3 = (0, 0, 1)
+    u = (1, 1, 1)
 
     xaxis = join(e3, e1)
     horizon = join(u, e1)
@@ -517,14 +516,14 @@ def von_staudt_check(field: FieldSpec) -> VonStaudtReport:
     infline = join(e1, e2)
     a1 = normalize(meet(horizon, yaxis))
     unitx = normalize(meet(xaxis, join(u, e2)))
-    frame = ((0, one, one), (one, 0, one))
+    frame = ((0, 1, 1), (1, 0, 1))
     if (a1, unitx) != frame:
         return VonStaudtReport(
             q=field.q, pairs_checked=0, failures=[(("frame",), (a1, unitx), frame)]
         )
 
     def embed(x: int):
-        return (x, 0, one)
+        return (x, 0, 1)
 
     def run_add(x: int, xp: int):
         b = meet(horizon, join(embed(xp), e2))

@@ -10,11 +10,9 @@ multilinear (the only kind built here) is computed exactly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import BadParams, LengthMismatch, TooLarge
-from .ffield import FieldElem, FieldSpec
 from .graphs import Graph
 
 DET_LIMIT = 8
@@ -104,19 +102,6 @@ class MultilinearPoly:
 
     # -- inspection -------------------------------------------------------
 
-    @property
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(mask.bit_count() for mask in self.terms)
-
-    def homogeneous_degree(self) -> int | None:
-        degs = {mask.bit_count() for mask in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
     def __repr__(self) -> str:
         return f"MultilinearPoly({self.nvars}, {self.format()})"
 
@@ -142,28 +127,6 @@ class MultilinearPoly:
         for sign, body in parts[1:]:
             text += f" {sign} {body}"
         return text
-
-
-def evaluate(
-    poly: MultilinearPoly, field: FieldSpec, point: list[FieldElem]
-) -> FieldElem:
-    """Exact evaluation at a point of F_q^nvars."""
-    if len(point) != poly.nvars:
-        raise LengthMismatch(
-            f"point has {len(point)} coordinates, polynomial has {poly.nvars}"
-        )
-    total = field.zero
-    for mask, coeff in poly.terms.items():
-        term = field.element_from_int(coeff)
-        i = 0
-        m = mask
-        while m:
-            if m & 1:
-                term = field.mul(term, point[i])
-            m >>= 1
-            i += 1
-        total = field.add(total, term)
-    return total
 
 
 # -- graph polynomials -------------------------------------------------------
@@ -211,14 +174,12 @@ def laplacian(g: Graph) -> SymbolicMatrix:
     return SymbolicMatrix(nvars, entries)
 
 
-def reduced_laplacian(g: Graph, strike: int = 0) -> SymbolicMatrix:
-    """Laplacian with one vertex's row and column removed (vertex 0 by default)."""
+def reduced_laplacian(g: Graph) -> SymbolicMatrix:
+    """Laplacian with vertex 0's row and column struck out."""
     if g.n == 0:
         raise BadParams("reduced Laplacian needs at least one vertex")
-    if not 0 <= strike < g.n:
-        raise BadParams(f"vertex {strike} outside 0..{g.n - 1}")
     lap = laplacian(g)
-    keep = [v for v in range(g.n) if v != strike]
+    keep = range(1, g.n)
     entries = [[lap.at(i, j) for j in keep] for i in keep]
     return SymbolicMatrix(g.m, entries)
 

@@ -73,6 +73,25 @@ def test_poly_determinant_check_covers_multigraphs(tmp_path, capsys):
     assert "Q = x_0 + x_1" in out
 
 
+def test_poly_refuses_at_the_determinant_cap_before_listing_trees(
+    monkeypatch, capsys
+):
+    # K10's reduced Laplacian is 9 x 9, over the cap; listing its trees
+    # first walks C(45, 9) ~ 8.9 * 10^8 edge subsets
+    calls = []
+
+    def spanning_trees(self):
+        calls.append(self)
+        return []
+
+    monkeypatch.setattr(graphs.Graph, "spanning_trees", spanning_trees)
+    code = main(["poly", "--name", "K10"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: symbolic determinant capped at dimension 8\n"
+    assert calls == []
+
+
 def test_count_rejects_multigraph_for_incidence_kinds(tmp_path, capsys):
     graph_file = tmp_path / "doubled.txt"
     graph_file.write_text("2 2\n0 1\n0 1\n")

@@ -2,7 +2,7 @@
 symmetric-matrix strata, and the closed-form counting formulas.
 
 Every engine answer here is compared against a brute-force oracle written
-with nothing but the element-level field operations.
+with nothing but scalar lookups in the field's operation tables.
 """
 
 from __future__ import annotations
@@ -61,16 +61,29 @@ from graphmotive.counting import (
     _multilinear_zeros,
     extension_support,
 )
-from graphmotive.polys import evaluate
 from graphmotive.vecops import VecField
 
 
+def evaluate(poly, field, point):
+    """poly at a point of F_q^nvars given as element indices, term by term
+    with one table lookup per operation; the integer c is index c mod p."""
+    add, mul = field.add_table, field.mul_table
+    total = 0
+    for mask, coeff in poly.terms.items():
+        term = coeff % field.p
+        for i, x in enumerate(point):
+            if mask >> i & 1:
+                term = mul[term][x]
+        total = add[total][term]
+    return total
+
+
 def zeros_oracle(poly, q):
-    """Evaluate at every point with element-level arithmetic."""
+    """Evaluate at every point with scalar table arithmetic."""
     field = make_field(q)
     zeros = 0
-    for point in itertools.product(field.elements, repeat=poly.nvars):
-        if evaluate(poly, field, list(point)) == field.zero:
+    for point in itertools.product(range(q), repeat=poly.nvars):
+        if evaluate(poly, field, point) == 0:
             zeros += 1
     return zeros
 
@@ -100,16 +113,16 @@ def test_count_zeros_against_evaluation_oracle():
 def multilinear_zeros_oracle(field, row, k):
     """Zeros in F_q^k of sum over S of row[S] * prod_{v in S} x_v, with the
     coefficients given as field indices, by evaluation at every point."""
-    coeffs = [field.element(int(c)) for c in row]
+    add, mul = field.add_table, field.mul_table
     zeros = 0
-    for point in itertools.product(field.elements, repeat=k):
-        monomials = [field.one]
+    for point in itertools.product(range(field.q), repeat=k):
+        monomials = [1]
         for x in point:  # the monomials without x, then each of them times x
-            monomials += [field.mul(m, x) for m in monomials]
-        total = field.zero
-        for c, m in zip(coeffs, monomials):
-            total = field.add(total, field.mul(c, m))
-        zeros += total == field.zero
+            monomials += [mul[m][x] for m in monomials]
+        total = 0
+        for c, m in zip(row, monomials):
+            total = add[total][mul[int(c)][m]]
+        zeros += total == 0
     return zeros
 
 
@@ -308,11 +321,11 @@ def test_strata_counts_consistency():
         for s in range(1 << g.m):
             free = [e for e in range(g.m) if not s >> e & 1]
             hits = 0
-            for vals in itertools.product(field.elements, repeat=len(free)):
-                point = [field.zero] * g.m
+            for vals in itertools.product(range(q), repeat=len(free)):
+                point = [0] * g.m
                 for pos, e in enumerate(free):
                     point[e] = vals[pos]
-                if evaluate(poly, field, point) == field.zero:
+                if evaluate(poly, field, point) == 0:
                     hits += 1
             assert st.zero_on[s] == hits
     long_path = path(22)
@@ -334,13 +347,13 @@ def test_strata_subset_sums_are_not_the_bottleneck():
 
 def strata_oracle(g, q):
     """Zero points of the spanning-tree polynomial by exact zero set,
-    one element-level evaluation per point."""
+    one scalar evaluation per point."""
     field = make_field(q)
     poly = spanning_tree_poly(g)
     exact = {s: 0 for s in range(1 << g.m)}
-    for point in itertools.product(field.elements, repeat=g.m):
-        if evaluate(poly, field, list(point)) == field.zero:
-            exact[sum(1 << e for e in range(g.m) if point[e] == field.zero)] += 1
+    for point in itertools.product(range(q), repeat=g.m):
+        if evaluate(poly, field, point) == 0:
+            exact[sum(1 << e for e in range(g.m) if point[e] == 0)] += 1
     return exact
 
 

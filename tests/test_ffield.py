@@ -7,16 +7,11 @@ triple where the loops stay small).
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from graphmotive import (
-    LengthMismatch,
-    NotPrimePower,
-    TooLarge,
-    make_field,
-    matrix_rank_minors,
-    rank_from_index_rows,
-)
+from graphmotive import NotPrimePower, TooLarge, make_field, rank_from_index_rows
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 SMALL = [2, 3, 4, 5, 7, 8, 9]
@@ -35,119 +30,126 @@ def test_orders_above_256_have_no_field():
 
 
 def test_element_enumeration_is_complete_and_distinct():
+    """Elements are the indices 0..q-1: every table has one entry per
+    element, adding a fixed element permutes them, and 0 and 1 are the
+    identities."""
     for q in PRIME_POWERS:
         field = make_field(q)
-        elems = field.elements
-        assert len(elems) == q
-        assert len(set(elems)) == q
-        assert elems[0] == field.zero
-        for i, e in enumerate(elems):
-            assert field.index(e) == i
-            assert field.element(i) == e
+        add, mul = field.add_table, field.mul_table
+        assert len(add) == len(mul) == q
+        assert len(field.neg_table) == len(field.inv_table) == q
+        for a in range(q):
+            assert len(add[a]) == len(mul[a]) == q
+            assert sorted(add[a]) == list(range(q))
+            assert add[a][0] == a
+            assert mul[a][1] == a
+
+
+def test_integer_embedding_matches_repeated_addition():
+    """c * 1, summed one at a time, is index c mod p."""
+    for q in PRIME_POWERS:
+        field = make_field(q)
+        add = field.add_table
+        acc = 0
+        for c in range(3 * field.p):
+            assert acc == c % field.p
+            acc = add[acc][1]
 
 
 def test_additive_group_axioms():
     for q in PRIME_POWERS:
         field = make_field(q)
-        elems = field.elements
-        for a in elems:
-            assert field.add(a, field.zero) == a
-            assert field.add(a, field.neg(a)) == field.zero
-            for b in elems:
-                assert field.add(a, b) == field.add(b, a)
-                assert field.sub(a, b) == field.add(a, field.neg(b))
+        add, neg = field.add_table, field.neg_table
+        for a in range(q):
+            assert add[a][0] == a
+            assert add[a][neg[a]] == 0
+            for b in range(q):
+                assert add[a][b] == add[b][a]
 
 
 def test_multiplicative_group_axioms():
     for q in PRIME_POWERS:
         field = make_field(q)
-        elems = field.elements
-        for a in elems:
-            assert field.mul(a, field.one) == a
-            assert field.mul(a, field.zero) == field.zero
-            if a != field.zero:
-                assert field.mul(a, field.inv(a)) == field.one
-            for b in elems:
-                assert field.mul(a, b) == field.mul(b, a)
+        mul, inv = field.mul_table, field.inv_table
+        for a in range(q):
+            assert mul[a][1] == a
+            assert mul[a][0] == 0
+            if a:
+                assert mul[a][inv[a]] == 1
+            for b in range(q):
+                assert mul[a][b] == mul[b][a]
 
 
 def test_associativity_and_distributivity_triples():
     for q in SMALL:
         field = make_field(q)
-        elems = field.elements
-        for a in elems:
-            for b in elems:
-                ab_sum = field.add(a, b)
-                ab_prod = field.mul(a, b)
-                for c in elems:
-                    assert field.add(ab_sum, c) == field.add(a, field.add(b, c))
-                    assert field.mul(ab_prod, c) == field.mul(a, field.mul(b, c))
-                    assert field.mul(field.add(a, b), c) == field.add(
-                        field.mul(a, c), field.mul(b, c)
-                    )
+        add, mul = field.add_table, field.mul_table
+        for a in range(q):
+            for b in range(q):
+                ab_sum = add[a][b]
+                ab_prod = mul[a][b]
+                for c in range(q):
+                    assert add[ab_sum][c] == add[a][add[b][c]]
+                    assert mul[ab_prod][c] == mul[a][mul[b][c]]
+                    assert mul[ab_sum][c] == add[mul[a][c]][mul[b][c]]
 
 
 def test_characteristic():
     for q in PRIME_POWERS:
         field = make_field(q)
-        acc = field.zero
+        add = field.add_table
+        acc = 0
         for _ in range(field.p):
-            acc = field.add(acc, field.one)
-        assert acc == field.zero
+            acc = add[acc][1]
+        assert acc == 0
         # no smaller repeat count works
-        acc = field.zero
+        acc = 0
         for k in range(1, field.p):
-            acc = field.add(acc, field.one)
-            assert acc != field.zero
+            acc = add[acc][1]
+            assert acc != 0
 
 
 def test_frobenius_is_additive_on_extension_fields():
     for q in [4, 8, 9, 16]:
         field = make_field(q)
         p = field.p
+        add, mul = field.add_table, field.mul_table
 
         def power(x, e):
-            out = field.one
+            out = 1
             for _ in range(e):
-                out = field.mul(out, x)
+                out = mul[out][x]
             return out
 
-        for a in field.elements:
-            for b in field.elements:
-                assert power(field.add(a, b), p) == field.add(power(a, p), power(b, p))
+        for a in range(q):
+            for b in range(q):
+                assert power(add[a][b], p) == add[power(a, p)][power(b, p)]
 
 
 def test_multiplicative_group_is_cyclic():
     for q in SMALL + [16]:
-        field = make_field(q)
+        mul = make_field(q).mul_table
 
         def order(x):
             k = 1
             acc = x
-            while acc != field.one:
-                acc = field.mul(acc, x)
+            while acc != 1:
+                acc = mul[acc][x]
                 k += 1
             return k
 
-        orders = [order(a) for a in field.elements if a != field.zero]
+        orders = [order(a) for a in range(1, q)]
         assert max(orders) == q - 1
         for d in orders:
             assert (q - 1) % d == 0
 
 
-def test_integer_embedding_matches_repeated_addition():
-    for q in PRIME_POWERS:
-        field = make_field(q)
-        acc = field.zero
-        for c in range(3 * field.p):
-            assert field.element_from_int(c) == acc
-            acc = field.add(acc, field.one)
-
-
 def test_index_tables_agree_with_element_arithmetic():
     """Every table entry against sums and products computed here on the
     coefficient vectors: sums coefficient-wise mod p, products schoolbook
-    and reduced by the field's monic modulus."""
+    and reduced by the field's monic modulus.  The coefficient vector of
+    index i is read off the base-p digits of i, so this also pins the
+    element order."""
 
     def poly_sum(a, b, p):
         return tuple((x + y) % p for x, y in zip(a, b))
@@ -167,7 +169,8 @@ def test_index_tables_agree_with_element_arithmetic():
     for q in SMALL + [16]:
         field = make_field(q)
         p, n = field.p, field.n
-        coeffs = [e.coeffs for e in field.elements]
+        # index i holds the base-p digits of i, c_0 least significant
+        coeffs = [tuple(i // p**j % p for j in range(n)) for i in range(q)]
         where = {c: i for i, c in enumerate(coeffs)}
         zero = (0,) * n
         for i, a in enumerate(coeffs):
@@ -196,11 +199,24 @@ def test_numpy_tables_agree_with_index_tables():
     assert np is not None
 
 
-def test_mixed_field_elements_are_rejected():
-    f4 = make_field(4)
-    f2 = make_field(2)
-    with pytest.raises(LengthMismatch):
-        f2.add(f4.elements[1], f2.one)
+def test_tables_match_pinned_digest():
+    """Every table of every field q <= 256, hashed in ascending q: add rows,
+    mul rows, neg, inv.  The digest pins today's moduli and element order."""
+    digest = hashlib.sha256()
+    for q in range(2, 257):
+        try:
+            field = make_field(q)
+        except NotPrimePower:
+            continue
+        for row in field.add_table:
+            digest.update(bytes(row))
+        for row in field.mul_table:
+            digest.update(bytes(row))
+        digest.update(bytes(field.neg_table))
+        digest.update(bytes(field.inv_table))
+    assert digest.hexdigest() == (
+        "326691bcc43e9fc645300b28d679da5e0e70a6ceec3e1584beab962be8465c45"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -214,24 +230,26 @@ def naive_rank(field, rows):
     n = len(rows)
     m = len(rows[0]) if rows else 0
 
+    add, mul = field.add_table, field.mul_table
+
     def det(rsel, csel):
-        total = field.zero
+        total = 0
         for perm in itertools.permutations(range(len(csel))):
             sign = 1
             for x in range(len(perm)):
                 for y in range(x + 1, len(perm)):
                     if perm[x] > perm[y]:
                         sign = -sign
-            term = field.one if sign > 0 else field.neg(field.one)
+            term = 1 if sign > 0 else field.neg_table[1]
             for x, px in enumerate(perm):
-                term = field.mul(term, field.element(rows[rsel[x]][csel[px]]))
-            total = field.add(total, term)
+                term = mul[term][rows[rsel[x]][csel[px]]]
+            total = add[total][term]
         return total
 
     for k in range(min(n, m), 0, -1):
         for rsel in itertools.combinations(range(n), k):
             for csel in itertools.combinations(range(m), k):
-                if det(rsel, csel) != field.zero:
+                if det(rsel, csel) != 0:
                     return k
     return 0
 
@@ -245,4 +263,3 @@ def test_rank_matches_minor_oracle_exhaustively():
             rows = [list(flat[i * m : (i + 1) * m]) for i in range(n)]
             want = rank_from_index_rows(field, rows)
             assert naive_rank(field, rows) == want
-            assert matrix_rank_minors(field, rows) == want

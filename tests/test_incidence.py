@@ -49,13 +49,14 @@ from graphmotive.vecops import VecField, decode_assignments
 
 
 def brute_table(g, s, q):
-    """Element-level scan over every symmetric form and every labeling.
+    """Scalar scan over every symmetric form and every labeling.
 
     Entirely independent of the vectorized engine: builds each matrix,
     checks each edge's bilinear value with scalar field operations, and
     tallies by (form rank, span dimension).
     """
     field = make_field(q)
+    add, mul = field.add_table, field.mul_table
     n = g.n
     cells = [(i, j) for i in range(s) for j in range(i, s)]
     table = {
@@ -71,15 +72,12 @@ def brute_table(g, s, q):
             f = [list(fvals[v * s : (v + 1) * s]) for v in range(n)]
             good = True
             for u, v in g.edges:
-                total = field.zero
+                total = 0
                 for a in range(s):
                     for b in range(s):
-                        term = field.mul(
-                            field.element(f[u][a]),
-                            field.mul(field.element(Q[a][b]), field.element(f[v][b])),
-                        )
-                        total = field.add(total, term)
-                if total != field.zero:
+                        term = mul[f[u][a]][mul[Q[a][b]][f[v][b]]]
+                        total = add[total][term]
+                if total != 0:
                     good = False
                     break
             if good:
@@ -275,6 +273,7 @@ def test_count_L_against_oracle():
 def brute_J_partial(g, s, pi, q):
     field = make_field(q)
     # recount with the span requirements, element by element
+    add, mul = field.add_table, field.mul_table
     n = g.n
     cells = [(i, j) for i in range(s) for j in range(i, s)]
     total = 0
@@ -289,19 +288,11 @@ def brute_J_partial(g, s, pi, q):
             f = [list(fvals[v * s : (v + 1) * s]) for v in range(n)]
             good = True
             for u, v in g.edges:
-                val = field.zero
+                val = 0
                 for a in range(s):
                     for b in range(s):
-                        val = field.add(
-                            val,
-                            field.mul(
-                                field.element(f[u][a]),
-                                field.mul(
-                                    field.element(Q[a][b]), field.element(f[v][b])
-                                ),
-                            ),
-                        )
-                if val != field.zero:
+                        val = add[val][mul[f[u][a]][mul[Q[a][b]][f[v][b]]]]
+                if val != 0:
                     good = False
                     break
             if not good:

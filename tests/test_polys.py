@@ -9,14 +9,12 @@ import pytest
 
 from graphmotive import (
     Graph,
-    LengthMismatch,
     MultilinearPoly,
     complete,
     connected_simple_graphs,
     cycle,
     discrete,
     duality_check,
-    make_field,
     matrix_tree_check,
     path,
     reduced_laplacian,
@@ -25,7 +23,7 @@ from graphmotive import (
     symbolic_det,
     tree_complement_poly,
 )
-from graphmotive.polys import evaluate, laplacian
+from graphmotive.polys import laplacian
 
 
 def test_ring_basics():
@@ -41,9 +39,6 @@ def test_ring_basics():
     assert -(-x0) == x0
     assert x0 + zero == x0 and x0 * zero == zero
     assert bool(zero) is False and bool(x0) is True
-    assert zero.degree == -1 and (x0 * x1).degree == 2
-    assert (x0 * x1 + x0).homogeneous_degree() is None
-    assert (x0 * x1 + x0 * MultilinearPoly.variable(3, 2)).homogeneous_degree() == 2
 
     with pytest.raises(Exception):
         x0 + MultilinearPoly.variable(2, 0)  # different rings never mix
@@ -57,31 +52,6 @@ def test_format_strings():
     assert (x0 + x1).format() == "x_0 + x_1"
     assert (x0 * x1 - one).format() == "-1 + x_0*x_1"
     assert (x1 - x0 - x0).format(var="y") == "-2*y_0 + y_1"
-
-
-def test_evaluation_against_term_by_term_oracle():
-    poly = (
-        MultilinearPoly.variable(3, 0) * MultilinearPoly.variable(3, 1)
-        + MultilinearPoly.variable(3, 2)
-        + MultilinearPoly.variable(3, 2)
-        - MultilinearPoly.const(3, 1)
-    )
-    for q in (2, 3, 4):
-        field = make_field(q)
-        for point in itertools.product(range(q), repeat=3):
-            elems = [field.element(i) for i in point]
-            got = evaluate(poly, field, elems)
-            # oracle: accumulate each term with bare field ops
-            total = field.zero
-            for mask, coeff in poly.terms.items():
-                term = field.element_from_int(coeff)
-                for i in range(3):
-                    if mask >> i & 1:
-                        term = field.mul(term, elems[i])
-                total = field.add(total, term)
-            assert got == total
-    with pytest.raises(LengthMismatch):
-        evaluate(poly, make_field(2), [make_field(2).zero])
 
 
 def spanning_tree_masks(g):
@@ -122,8 +92,8 @@ def test_tree_polynomial_degrees():
     for g in [complete(2), cycle(3), cycle(5), complete(4), star(3)]:
         b0, b1 = g.betti()
         assert b0 == 1
-        assert spanning_tree_poly(g).homogeneous_degree() == g.n - 1
-        assert tree_complement_poly(g).homogeneous_degree() == b1
+        assert {t.bit_count() for t in spanning_tree_poly(g).terms} == {g.n - 1}
+        assert {t.bit_count() for t in tree_complement_poly(g).terms} == {b1}
     # one vertex, no edges: both are the empty product, the constant 1
     assert spanning_tree_poly(discrete(1)) == MultilinearPoly.const(0, 1)
     assert tree_complement_poly(discrete(1)) == MultilinearPoly.const(0, 1)
@@ -172,10 +142,16 @@ def test_matrix_tree_and_duality_on_the_full_small_corpus():
 
 
 def test_matrix_tree_strike_choice_does_not_matter():
+    # reduced_laplacian strikes vertex 0; swapping labels v and 0, edge order
+    # kept, strikes v of the same graph in the same variables
     g = complete(4)
     expect = spanning_tree_poly(g)
     for strike in range(g.n):
-        assert symbolic_det(reduced_laplacian(g, strike=strike)) == expect
+        swap = {0: strike, strike: 0}
+        relabeled = Graph(
+            g.n, tuple((swap.get(u, u), swap.get(v, v)) for u, v in g.edges)
+        )
+        assert symbolic_det(reduced_laplacian(relabeled)) == expect
 
 
 def test_duality_on_multigraphs():
