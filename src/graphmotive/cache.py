@@ -31,8 +31,9 @@ def _key(kind: str, input_text: str, params: dict, q: int) -> tuple:
 
 @dataclass
 class CountCache:
-    """Loads the whole JSONL once; get() is a dict probe, put() appends a
-    line under an exclusive advisory lock and updates the in-memory view."""
+    """Loads the whole JSONL once; get() is a dict probe, put() appends its
+    new records' lines with one write under an exclusive advisory lock and
+    updates the in-memory view."""
 
     path: str
     entries: dict
@@ -83,19 +84,27 @@ class CountCache:
         self.misses += 1
         return None
 
-    def put(self, kind: str, input_text: str, params: dict, q: int, value: int):
-        key = _key(kind, input_text, params, q)
-        if self.entries.get(key) == value:
+    def put(self, records):
+        """Appends the records (kind, input_text, params, q, value) that are
+        not already cached as they stand, with one locked write."""
+        lines, new = [], {}
+        for kind, input_text, params, q, value in records:
+            key = _key(kind, input_text, params, q)
+            if self.entries.get(key) == value:
+                continue
+            rec = {
+                "version": CACHE_VERSION,
+                "kind": kind,
+                "input": input_text,
+                "params": dict(sorted(params.items())),
+                "q": q,
+                "value": value,
+            }
+            lines.append(json.dumps(rec, sort_keys=True) + "\n")
+            new[key] = value
+        if not lines:
             return
-        rec = {
-            "version": CACHE_VERSION,
-            "kind": kind,
-            "input": input_text,
-            "params": dict(sorted(params.items())),
-            "q": q,
-            "value": value,
-        }
-        line = json.dumps(rec, sort_keys=True)
+        text = "".join(lines)
         try:
             os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as fh:
@@ -103,11 +112,11 @@ class CountCache:
                     import fcntl
 
                     fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-                    fh.write(line + "\n")
+                    fh.write(text)
                     fh.flush()
                     fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
                 except ImportError:  # non-POSIX: best effort append
-                    fh.write(line + "\n")
+                    fh.write(text)
         except OSError as exc:
             raise ParseError(f"cannot write cache {self.path!r}: {exc}") from exc
-        self.entries[key] = value
+        self.entries.update(new)

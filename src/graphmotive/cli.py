@@ -192,7 +192,9 @@ def _count_input(source: str, args):
 def _build_table(args, out_errors: list[str]) -> CountTable:
     """Computes the requested table, consulting the on-disk cache per field
     order; per-q budget overruns and orders too large to enumerate are
-    reported and the remaining orders still run."""
+    reported and the remaining orders still run.  The counts computed here
+    are appended to the cache with one write when the table ends, also
+    when it ends in an error."""
     kind, spec = args.kind, COUNTS[args.kind]
     qs = _parse_q_list(args.q)
     obj, input_text = _count_input(spec.input, args)
@@ -203,18 +205,22 @@ def _build_table(args, out_errors: list[str]) -> CountTable:
         if getattr(args, name) is not None
     }
     cache = CountCache.open()
-    counts = {}
-    for q in qs:
-        try:
-            make_field(q)  # an order above 256 has no field: this row fails
-            val = cache.get(kind, input_text, params, q)
-            if val is None:
-                val = spec.compute(obj, args, q)
-                cache.put(kind, input_text, params, q, val)
-        except (BudgetExceeded, TooLarge) as exc:
-            out_errors.append(f"q={q}: {exc}")
-            continue
-        counts[q] = val
+    counts, new = {}, []
+    try:
+        for q in qs:
+            try:
+                make_field(q)  # an order above 256 has no field: this row fails
+                # a repeated order reuses its count, whose record waits for the write
+                val = counts[q] if q in counts else cache.get(kind, input_text, params, q)
+                if val is None:
+                    val = spec.compute(obj, args, q)
+                    new.append((kind, input_text, params, q, val))
+            except (BudgetExceeded, TooLarge) as exc:
+                out_errors.append(f"q={q}: {exc}")
+                continue
+            counts[q] = val
+    finally:
+        cache.put(new)
     label = f"{kind}:" + ",".join(f"{k}={v}" for k, v in sorted(params.items()))
     return CountTable(label=label, counts=counts)
 

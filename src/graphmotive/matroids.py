@@ -261,6 +261,63 @@ def _membership_plan(matroid: Matroid, reps, gen: int | None, pos: dict[int, int
     )
 
 
+def _frame_element(matroid: Matroid, basis: list[int]) -> int | None:
+    """The first element outside the basis B with rank(B - b + f) = |B| for
+    every b in B: its coordinates over B are all nonzero, so B and f form a
+    projective frame.  None for an empty basis or when no element
+    qualifies, as in a direct sum or a matroid with a coloop."""
+    if not basis:
+        return None
+    full = sum(1 << b for b in basis)
+    for e in range(matroid.m):
+        if not full >> e & 1 and all(
+            matroid.ranks[full ^ (1 << b) | (1 << e)] == len(basis) for b in basis
+        ):
+            return e
+    return None
+
+
+def _search_plan(matroid: Matroid, s: int):
+    """Everything count_X needs that does not depend on q.  The search
+    order is the greedy basis, the frame element and the rest when s is the
+    rank, and ground order otherwise.  Returns the pinned prefix as field
+    indices, the exponent of q - 1 in the count (one per scaled element,
+    s - 1 more for a frame), and per searched level the prefix positions of
+    a basis of the candidate space (None for all of F_q^s), its dimension,
+    the field entries a chunk holds per frontier row and per candidate row
+    (see _X_CHUNK), and the membership plan of the level's constraint
+    sets."""
+    import numpy as np
+
+    basis = _greedy_basis(matroid, (1 << matroid.m) - 1) if s == matroid.rank else []
+    frame = _frame_element(matroid, basis)
+    fixed = basis + ([] if frame is None else [frame])
+    order = fixed + [e for e in range(matroid.m) if e not in set(fixed)]
+    scaled = sum(1 for e in order[len(basis) :] if matroid.ranks[1 << e])
+    if frame is not None:
+        scaled += s - 1
+    # the unit vectors, then the all-ones vector (index 1 is the unit)
+    start = np.ones((1, len(fixed), s), dtype=np.uint8)
+    start[0, : len(basis)] = np.eye(s, dtype=np.uint8)[: len(basis)]
+
+    pos = {e: t for t, e in enumerate(order)}
+    levels = {}
+    for t, (e, reps, gen) in enumerate(_level_constraints(matroid, order)):
+        if t < len(fixed):
+            # pinned, no node: a basis element is independent of every
+            # prefix subset, and the frame element lies in the span of a
+            # prefix subset only when that subset is the whole basis
+            continue
+        gen_rows = None if gen is None else [pos[x] for x in _greedy_basis(matroid, gen)]
+        d = s if gen is None else len(gen_rows)
+        membership = _membership_plan(matroid, reps, gen, pos, s)
+        minor_groups, forms = membership[:2]
+        row_cells = forms.size + sum(b.size * len(c) * k for k, b, c in minor_groups)
+        cand_cells = max(1, len(forms) + (t + 1) * s)
+        levels[t] = (gen_rows, d, row_cells, cand_cells, membership)
+    return start, scaled, levels
+
+
 def count_X(matroid: Matroid, s: int | None = None, q: int = 2) -> int:
     """Maps f from the ground set to F_q^s whose span dimension on every
     subset equals the tabulated rank.
@@ -278,6 +335,19 @@ def count_X(matroid: Matroid, s: int | None = None, q: int = 2) -> int:
     coefficient over a basis of its candidate space is one is tried, and
     the result is multiplied by q - 1 per such element.  A loop takes the
     zero vector, which no other element can.
+
+    With s equal to the rank the search is also normalized by a projective
+    frame (Oxley, Matroid Theory, section 6.4): when some element f has
+    every basis coordinate nonzero (_frame_element), the diagonal matrices
+    and the scalings of the basis vectors carry its (q - 1)^s possible
+    vectors onto one another, so f is pinned to the all-ones vector and the
+    count gains (q - 1)^(s - 1) beside f's own q - 1.  A matroid with no
+    such element searches unpinned past the basis, and a scan with s above
+    the rank pins nothing.
+
+    The order, the pinned prefix and every level's constraints are built
+    once per run and (matroid, s) by _search_plan, through stats.memoized;
+    only the number of lines per level depends on q.
 
     The search goes level by level over a frontier of surviving prefixes,
     depth-first in chunks of at most _X_CHUNK field entries; a frontier row
@@ -299,43 +369,16 @@ def count_X(matroid: Matroid, s: int | None = None, q: int = 2) -> int:
 
     from .vecops import VecField, projective_points
 
+    start, scaled, levels = stats.memoized(
+        ("XM plan", matroid.ranks, s), lambda: _search_plan(matroid, s)
+    )
     vf = VecField(make_field(q))
     limit = stats.budget
-
-    pinned = s == matroid.rank
-    if pinned:
-        basis = _greedy_basis(matroid, (1 << matroid.m) - 1)
-        order = basis + [e for e in range(matroid.m) if e not in set(basis)]
-    else:
-        basis = []
-        order = list(range(matroid.m))
-    scaled = sum(1 for e in order[len(basis) :] if matroid.ranks[1 << e])
-
-    # per searched level: prefix positions of a basis of the candidate
-    # space (None for all of F_q^s), its dimension and number of lines, the
-    # field entries a chunk holds per frontier row and per candidate row
-    # (see _X_CHUNK), and the membership plan of the level's constraint sets
-    pos = {e: t for t, e in enumerate(order)}
-    plans = {}
-    for t, (e, reps, gen) in enumerate(_level_constraints(matroid, order)):
-        if t < len(basis):
-            # the pinned unit vector, no node: independence from every
-            # prefix subset holds automatically, and no closure membership
-            # can be required of a rank-raising element
-            continue
-        gen_rows = None if gen is None else [pos[x] for x in _greedy_basis(matroid, gen)]
-        d = s if gen is None else len(gen_rows)
-        lines = (q**d - 1) // (q - 1) if d else 1
-        membership = _membership_plan(matroid, reps, gen, pos, s)
-        minor_groups, forms = membership[:2]
-        row_cells = forms.size + sum(b.size * len(c) * k for k, b, c in minor_groups)
-        cand_cells = max(1, len(forms) + (t + 1) * s)
-        plans[t] = (gen_rows, d, lines, row_cells, cand_cells, membership)
 
     def extend(t: int, rows, c0: int, c1: int):
         """The prefixes rows + one candidate of lines [c0, c1) that meet
         every constraint of level t."""
-        gen_rows, d, *_, (minor_groups, forms, first, flags) = plans[t]
+        gen_rows, d, *_, (minor_groups, forms, first, flags) = levels[t]
         F, C = len(rows), c1 - c0
         if gen_rows is None:
             cand = np.broadcast_to(projective_points(s, q, c0, c1), (F, C, s))
@@ -358,17 +401,17 @@ def count_X(matroid: Matroid, s: int | None = None, q: int = 2) -> int:
         f_idx, c_idx = np.nonzero(ok)
         return np.concatenate([rows[f_idx], cand[f_idx, c_idx][:, None, :]], axis=1)
 
-    start = np.eye(s, dtype=np.uint8)[None, : len(basis)]  # index 1 is the unit
-    stack = [(len(basis), start, 0)]
+    stack = [(start.shape[1], start, 0)]
     found = 0
     visited = 0
     try:
         while stack:
             t, rows, c0 = stack.pop()
-            if t == len(order):
+            if t == matroid.m:
                 found += len(rows)
                 continue
-            lines, row_cells, cand_cells = plans[t][2:5]
+            d, row_cells, cand_cells = levels[t][1:4]
+            lines = (q**d - 1) // (q - 1) if d else 1
             # every node of the entry is visited before the search ends, so
             # an entry over the budget is refused before any of it decodes
             if visited + len(rows) * (lines - c0) > limit:
@@ -390,7 +433,7 @@ def count_X(matroid: Matroid, s: int | None = None, q: int = 2) -> int:
     finally:
         stats.evaluations += visited
     count = found * (q - 1) ** scaled
-    if pinned:
+    if s == matroid.rank:
         count *= count_invertible(s, q)
     return count
 

@@ -132,18 +132,26 @@ class MultilinearPoly:
 # -- graph polynomials -------------------------------------------------------
 
 
+def _spanning_trees(g: Graph) -> list[int]:
+    """g.spanning_trees(), listed once per run: keyed on g itself, whose
+    edge order the tree bitmasks depend on."""
+    from .counting import stats  # counting imports this module
+
+    return stats.memoized(("spanning trees", g), g.spanning_trees)
+
+
 def spanning_tree_poly(g: Graph) -> MultilinearPoly:
     """Sum over spanning trees of the product of the tree's edge variables.
 
     Zero when the graph is disconnected; the constant 1 for a single vertex.
     """
-    return MultilinearPoly(g.m, {tree: 1 for tree in g.spanning_trees()})
+    return MultilinearPoly(g.m, {tree: 1 for tree in _spanning_trees(g)})
 
 
 def tree_complement_poly(g: Graph) -> MultilinearPoly:
     """Sum over spanning trees of the product of the non-tree edge variables."""
     full = (1 << g.m) - 1
-    return MultilinearPoly(g.m, {full ^ tree: 1 for tree in g.spanning_trees()})
+    return MultilinearPoly(g.m, {full ^ tree: 1 for tree in _spanning_trees(g)})
 
 
 @dataclass

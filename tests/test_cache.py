@@ -13,7 +13,7 @@ def test_round_trip_in_fresh_directory(tmp_path):
     assert cache.get("YG", "3:0-1,1-2,0-2", {}, 2) is None
     assert cache.misses == 1
 
-    cache.put("YG", "3:0-1,1-2,0-2", {}, 2, 4)
+    cache.put([("YG", "3:0-1,1-2,0-2", {}, 2, 4)])
     assert len(open(cache.path, encoding="utf-8").readlines()) == 1
     assert cache.get("YG", "3:0-1,1-2,0-2", {}, 2) == 4
     assert cache.hits == 1
@@ -26,7 +26,7 @@ def test_round_trip_in_fresh_directory(tmp_path):
 
 def test_key_includes_kind_params_and_q(tmp_path):
     cache = CountCache.open(str(tmp_path))
-    cache.put("A", "2:0-1", {"s": 2, "r": 1, "k": 1}, 2, 10)
+    cache.put([("A", "2:0-1", {"s": 2, "r": 1, "k": 1}, 2, 10)])
     # Same input under a different kind, different params, or different q
     # is a distinct record.
     assert cache.get("J", "2:0-1", {"s": 2, "r": 1, "k": 1}, 2) is None
@@ -114,9 +114,9 @@ def test_non_integer_count_is_recomputed(tmp_path, monkeypatch, capsys):
 
 def test_duplicate_put_appends_nothing(tmp_path):
     cache = CountCache.open(str(tmp_path))
-    cache.put("YG", "2:0-1", {}, 5, 4)
+    cache.put([("YG", "2:0-1", {}, 5, 4)])
     size_after_first = os.path.getsize(cache.path)
-    cache.put("YG", "2:0-1", {}, 5, 4)
+    cache.put([("YG", "2:0-1", {}, 5, 4)])
     assert os.path.getsize(cache.path) == size_after_first
 
 
@@ -139,7 +139,7 @@ def test_environment_variable_overrides_directory(tmp_path, monkeypatch):
     monkeypatch.setenv("GRAPHMOTIVE_CACHE", str(tmp_path))
     assert cache_dir() == str(tmp_path)
     cache = CountCache.open()
-    cache.put("YG", "2:0-1", {}, 2, 1)
+    cache.put([("YG", "2:0-1", {}, 2, 1)])
     assert os.path.exists(tmp_path / "counts.jsonl")
 
     monkeypatch.delenv("GRAPHMOTIVE_CACHE")

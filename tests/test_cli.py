@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from graphmotive import cli, counting, graphs, incidence, matroids
+from graphmotive.cache import CountCache
 from graphmotive.cli import main
 from graphmotive.matroids import PartialRank
 
@@ -90,6 +91,20 @@ def test_poly_refuses_at_the_determinant_cap_before_listing_trees(
     assert code == 1
     assert captured.err == "error: symbolic determinant capped at dimension 8\n"
     assert calls == []
+
+
+def test_poly_lists_the_spanning_trees_once(monkeypatch, capsys):
+    # the determinant check, P and Q share one list of trees
+    calls, trees = [], graphs.Graph.spanning_trees
+
+    def spanning_trees(self):
+        calls.append(self)
+        return trees(self)
+
+    monkeypatch.setattr(graphs.Graph, "spanning_trees", spanning_trees)
+    assert main(["poly", "--name", "K4"]) == 0
+    assert "matrix-tree: PASS" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_count_rejects_multigraph_for_incidence_kinds(tmp_path, capsys):
@@ -440,8 +455,9 @@ def test_verify_reports_each_order(capsys):
 
 
 def test_stats_are_reported_on_error_exit(capsys):
-    # q = 2 fits in the budget, q = 3 does not; the counter still ends stderr
-    code = main(["counterexample", "--budget", "20", "--stats"])
+    # q = 2 fits in the budget (9 nodes), q = 3 does not (12); the counter
+    # still ends stderr
+    code = main(["counterexample", "--budget", "10", "--stats"])
     captured = capsys.readouterr()
     assert code == 1
     error_line, stats_line = captured.err.splitlines()
@@ -625,6 +641,44 @@ def test_usage_errors_exit_two(tmp_path, capsys):
             main(argv)
         capsys.readouterr()
         assert info.value.code == 2, argv
+
+
+def test_representation_search_plan_is_built_once_per_run(monkeypatch, capsys):
+    calls, levels = [], matroids._level_constraints
+
+    def level_constraints(*args):
+        calls.append(args)
+        return levels(*args)
+
+    monkeypatch.setattr(matroids, "_level_constraints", level_constraints)
+    assert main(["count", "--kind", "XM", "--matroid", "fano", "--q", "2,3,4,5,7"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    matroids.count_X(matroids.fano(), 3, 8)
+    assert len(calls) == 1
+    counting.stats.reset()
+    matroids.count_X(matroids.fano(), 3, 8)
+    assert len(calls) == 2
+
+
+def test_table_appends_its_new_counts_in_one_write(monkeypatch, capsys):
+    # U2,4 in F_q^3 visits 308 nodes at q = 2, 2054 at q = 3 and 8862 at
+    # q = 4: the last order overruns, the first two are cached together
+    puts, put = [], CountCache.put
+
+    def recorded(self, records):
+        puts.append(list(records))
+        return put(self, puts[-1])
+
+    monkeypatch.setattr(CountCache, "put", recorded)
+    argv = ["count", "--kind", "XM", "--matroid", "U2,4", "--s", "3", "--q", "2,3,4",
+            "--budget", "5000"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err.startswith("q=4: representation scan")
+    assert [[r[3] for r in records] for records in puts] == [[2, 3]]
+    path = os.path.join(os.environ["GRAPHMOTIVE_CACHE"], "counts.jsonl")
+    with open(path, encoding="utf-8") as fh:
+        assert [json.loads(line)["q"] for line in fh] == [2, 3]
 
 
 def test_unusable_cache_location_exits_two(tmp_path, monkeypatch, capsys):

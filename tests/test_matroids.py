@@ -208,6 +208,32 @@ def test_count_X_matches_oracle_on_random_vector_matroids():
     check()
 
 
+def test_frame_pin_matches_oracle_with_and_without_a_frame():
+    # a frame element needs every basis coordinate nonzero: a direct sum
+    # (U1,2 + U1,2) or a matroid with a coloop (U1,2 + U1,1, U2,3 + U1,1)
+    # has none and searches unpinned from the basis on; U2,4, the Fano
+    # plane, U1,3 (whose frame adds no factor) and U2,4 with a loop and a
+    # parallel element are pinned
+    f2, f3 = make_field(2), make_field(3)
+    unframed = [
+        (vector_matroid(f2, [[1, 0], [1, 0], [0, 1], [0, 1]]), 3),
+        (vector_matroid(f2, [[1, 0], [1, 0], [0, 1]]), 3),
+        (vector_matroid(f3, [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]]), 2),
+    ]
+    framed = [
+        (uniform(2, 4), 3),
+        (fano(), 2),
+        (uniform(1, 3), 4),
+        (vector_matroid(f3, [[1, 0], [0, 1], [1, 1], [1, 2], [0, 0], [2, 2]]), 3),
+    ]
+    for cases, has_frame in ((unframed, False), (framed, True)):
+        for matroid, q in cases:
+            basis = matroids._greedy_basis(matroid, (1 << matroid.m) - 1)
+            assert (matroids._frame_element(matroid, basis) is not None) == has_frame
+            want = count_X_oracle(matroid, matroid.rank, q)
+            assert want > 0 and count_X(matroid, matroid.rank, q) == want, (matroid, q)
+
+
 def test_count_X_conventions():
     assert count_X(uniform(0, 0), 0, 2) == 1  # the empty labeling
     assert count_X(uniform(2, 2), 1, 3) == 0  # ambient too small
