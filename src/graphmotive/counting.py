@@ -187,69 +187,46 @@ def count_zeros(poly: MultilinearPoly, q: int) -> int:
 # graph hypersurface counts
 
 
-def _hypersurface_complement(g: Graph, q: int, poly) -> int:
-    """Points of F_q^E off the zero locus of poly(g).  count_zeros's scan is
-    checked against the budget before poly(g) is built: enumerating the
-    spanning trees of a dense graph costs more than the refusal."""
-    stats.check(q ** (max(g.m, 2) - 2), "polynomial zero scan")
-    return q**g.m - count_zeros(poly(g), q)
-
-
-def _peel(g: Graph, q: int, kind: str) -> tuple[Graph, int]:
-    """The core of a connected graph and the factor peeled off it for the
-    count of kind "X" or "Y" (see _tree_count): its loops deleted, its
-    bridges contracted and, for X, every parallel class cut to one edge.
-    Contracting bridges makes no loop, bridge or parallel pair; deleting a
-    parallel edge can leave a bridge, so the rounds go on until none does."""
-    loop, bridge = (q, q - 1) if kind == "X" else (q - 1, q)
-    loops = mask_from_indices(i for i, (u, v) in enumerate(g.edges) if u == v)
-    g = g.delete_edges(loops)
-    factor = loop ** loops.bit_count()
-    while True:
-        full = (1 << g.m) - 1
-        cut = mask_from_indices(
-            i for i in range(g.m) if g.subset_betti(full ^ 1 << i)[0] > 1
-        )
-        g = g.contract(cut)
-        factor *= bridge ** cut.bit_count()
-        if kind == "Y":
-            return g, factor
-        seen, twins = set(), 0
-        for i, (u, v) in enumerate(g.edges):
-            pair = (min(u, v), max(u, v))
-            if pair in seen:
-                twins |= 1 << i
-            seen.add(pair)
-        if not twins:
-            return g, factor
-        g = g.delete_edges(twins)
-        factor *= q ** twins.bit_count()
-
-
 def _tree_count(g: Graph, q: int, kind: str) -> int:
     """X(G) (kind "X", the spanning-tree polynomial) or Y(G) (kind "Y", the
     tree-complement polynomial): the points of F_q^E where it is nonzero.
 
-    Memoized on g's labels; on a miss, closed-form factors come off first:
-      a loop e:         X(G) = q X(G - e),      Y(G) = (q-1) Y(G - e);
-      a bridge e:       X(G) = (q-1) X(G / e),  Y(G) = q Y(G / e);
-      X only, e || f:   X(G) = q X(G - f), as T_G(x) = T_{G-f}(x_e + x_f).
+    A recurrence memoized on g's labels, each rule applied to every edge it
+    fits at once, so the recursion is as deep as the rounds of rules:
+      loops L:           X(G) = q^|L| X(G - L),      Y(G) = (q-1)^|L| Y(G - L);
+      bridges B:         X(G) = (q-1)^|B| X(G / B),  Y(G) = q^|B| Y(G / B);
+      X only, twins P:   X(G) = q^|P| X(G - P), P every edge parallel to an
+                         earlier one, as T_G(x) = T_{G-f}(x_e + x_f).
     A graph with no vertex or with two components has no spanning tree and
-    counts 0; a single vertex counts 1.  Only the loopless, bridgeless core
-    is scanned, its scan checked against the budget, and its count memoized
-    on its own labels."""
+    counts 0; a single vertex counts 1.  Any other graph is scanned, the
+    scan checked against the budget before the polynomial is built:
+    enumerating the spanning trees of a dense graph costs more than the
+    refusal."""
 
     def compute():
         make_field(q)  # an order with no field fails here, closed form or not
         if not g.is_connected():
             return 0
-        core, factor = _peel(g, q, kind)
-        if not core.m:
-            return factor
-        poly = spanning_tree_poly if kind == "X" else tree_complement_poly
-        return factor * stats.memoized(
-            (kind, core.key(), q), lambda: _hypersurface_complement(core, q, poly)
+        loop, bridge = (q, q - 1) if kind == "X" else (q - 1, q)
+        loops = mask_from_indices(i for i, (u, v) in enumerate(g.edges) if u == v)
+        if loops:
+            return loop ** loops.bit_count() * _tree_count(g.delete_edges(loops), q, kind)
+        full = (1 << g.m) - 1
+        bridges = mask_from_indices(
+            i for i in range(g.m) if g.subset_betti(full ^ 1 << i)[0] > 1
         )
+        if bridges:
+            return bridge ** bridges.bit_count() * _tree_count(g.contract(bridges), q, kind)
+        if kind == "X":
+            pairs = [(min(u, v), max(u, v)) for u, v in g.edges]
+            twins = mask_from_indices(i for i, p in enumerate(pairs) if p in pairs[:i])
+            if twins:
+                return q ** twins.bit_count() * _tree_count(g.delete_edges(twins), q, kind)
+        if g.n == 1:
+            return 1
+        stats.check(q ** (max(g.m, 2) - 2), "polynomial zero scan")
+        poly = spanning_tree_poly if kind == "X" else tree_complement_poly
+        return q**g.m - count_zeros(poly(g), q)
 
     return stats.memoized((kind, g.key(), q), compute)
 
@@ -336,22 +313,27 @@ def verify_contract_delete_sums(g: Graph, q: int) -> bool:
     |A|, of tree-complement counts; equals the tree-support count.  Both
     range over the same pairs, since A is a forest of G - B iff of G, and
     G - B / A is G / A - B: one enumeration, memoized for the run, lists
-    each labeled minor once with its sums of (-1)^|B| and of (-1)^|A|.
+    each labeled minor once with its sums of (-1)^|B| and of (-1)^|A|.  It
+    is charged one unit per (A, B) pair, sum over forests A of 2^(m - |A|),
+    before any pair is built: K5 has 39 744 pairs and K6 6 459 392, inside
+    the default budget.
     """
     m = g.m
     if m > 16:
         raise TooLarge(f"signed sums capped at 16 edges, got {m}")
 
     def signed_minors():
+        forests = [a for a in range(1 << m) if g.subset_is_forest(a)]
+        pairs = sum(1 << (m - a.bit_count()) for a in forests)
+        stats.charge(pairs, "signed minor enumeration")
         found = {}
-        for a in range(1 << m):
-            if g.subset_is_forest(a):
-                contracted = g.contract(a)
-                for b in range(1 << contracted.m):
-                    minor = contracted.delete_edges(b)
-                    _, by_b, by_a = found.get(key := minor.key(), (minor, 0, 0))
-                    signs = (-1) ** b.bit_count(), (-1) ** a.bit_count()
-                    found[key] = (minor, by_b + signs[0], by_a + signs[1])
+        for a in forests:
+            contracted = g.contract(a)
+            for b in range(1 << contracted.m):
+                minor = contracted.delete_edges(b)
+                _, by_b, by_a = found.get(key := minor.key(), (minor, 0, 0))
+                signs = (-1) ** b.bit_count(), (-1) ** a.bit_count()
+                found[key] = (minor, by_b + signs[0], by_a + signs[1])
         return found.values()
 
     first = second = 0
@@ -430,26 +412,21 @@ def _head_tail_order(n: int, zero_pairs: frozenset[tuple[int, int]]):
 
 
 def _census_pattern(
-    d: int,
-    q: int,
-    zero_pairs: frozenset[tuple[int, int]],
-    rank_cap: int | None = None,
+    d: int, q: int, zero_pairs: frozenset[tuple[int, int]]
 ) -> dict[int, int]:
     """Rank histogram of all symmetric d x d matrices over F_q with zeros
-    at the given off-diagonal pairs.  Ranks above rank_cap are clamped to
-    rank_cap + 1 (callers that only need 'rank == target' use this)."""
+    at the given off-diagonal pairs."""
     import numpy as np
 
     from .vecops import VecField
 
     vf = VecField(make_field(q))
     cells = _pattern_cells(d, zero_pairs)
-    cap = None if rank_cap is None else rank_cap + 1
     # one histogram cell per (rank, nonzero forest cells), both at most d
     side = d + 1
     hist = np.zeros(side * side, dtype=np.int64)
     for mats, nonzero in _symmetric_batches(d, q, cells, "symmetric pattern scan"):
-        ranks = vf.rank(mats, cap=cap).astype(np.intp)
+        ranks = vf.rank(mats).astype(np.intp)
         hist += np.bincount(ranks * side + nonzero, minlength=side * side)
     counts: dict[int, int] = {}
     for r, by_nonzero in enumerate(hist.reshape(side, side).tolist()):
@@ -540,8 +517,8 @@ def _count_pattern_rank(
     d, mapped = _head_tail_order(n, zero_pairs)
     if target == d == n > 0:
         return _count_full_rank(n, q, mapped)
-    # ranks clamped above target extend to none of rank target
-    head = _census_pattern(d, q, mapped, rank_cap=target)
+    # a head rank above target extends to none of rank target
+    head = _census_pattern(d, q, mapped)
     return sum(
         cnt * count_symmetric_extensions(n, target, d, head_rank, q)
         for head_rank, cnt in head.items()

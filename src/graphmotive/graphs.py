@@ -39,12 +39,6 @@ def indices_from_mask(mask: EdgeSubset) -> list[int]:
     return out
 
 
-def _as_mask(subset) -> EdgeSubset:
-    if isinstance(subset, int):
-        return subset
-    return mask_from_indices(subset)
-
-
 class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -114,9 +108,8 @@ class Graph:
     def is_forest(self) -> bool:
         return self.betti()[1] == 0
 
-    def subset_betti(self, subset) -> tuple[int, int]:
-        """Betti numbers of the spanning subgraph (V, S)."""
-        mask = _as_mask(subset)
+    def subset_betti(self, mask: EdgeSubset) -> tuple[int, int]:
+        """Betti numbers of the spanning subgraph (V, S), S the mask's edges."""
         uf = _UnionFind(self.n)
         count = 0
         for i, (u, v) in enumerate(self.edges):
@@ -126,8 +119,8 @@ class Graph:
         b0 = len({uf.find(v) for v in range(self.n)})
         return b0, count - self.n + b0
 
-    def subset_is_forest(self, subset) -> bool:
-        return self.subset_betti(subset)[1] == 0
+    def subset_is_forest(self, mask: EdgeSubset) -> bool:
+        return self.subset_betti(mask)[1] == 0
 
     # -- spanning trees --------------------------------------------------
 
@@ -181,14 +174,13 @@ class Graph:
         remap = lambda w: w - 1 if w > v else w
         return Graph(self.n - 1, tuple((remap(a), remap(b)) for a, b in keep))
 
-    def delete_edges(self, subset) -> "Graph":
-        mask = _as_mask(subset)
+    def delete_edges(self, mask: EdgeSubset) -> "Graph":
         kept = tuple(e for i, e in enumerate(self.edges) if not mask >> i & 1)
         return Graph(self.n, kept)
 
-    def contract(self, subset) -> "Graph":
-        """Contract the edges in S (any S; loops and multiple edges may appear)."""
-        mask = _as_mask(subset)
+    def contract(self, mask: EdgeSubset) -> "Graph":
+        """Contract the mask's edges (any set; loops and multiple edges may
+        appear)."""
         uf = _UnionFind(self.n)
         for i, (u, v) in enumerate(self.edges):
             if mask >> i & 1:

@@ -65,8 +65,8 @@ class VecField:
             minors[mask] = self.sub(*signed)
         return minors[(1 << n) - 1]
 
-    def rank(self, mats: np.ndarray, cap: int | None = None) -> np.ndarray:
-        """Rank of (N, r, c) index matrices, clamped to cap when given.
+    def rank(self, mats: np.ndarray) -> np.ndarray:
+        """Rank of (N, r, c) index matrices.
 
         Single rows or columns, and shapes of at most 9 cells (3 x 3, 2 x 4,
         4 x 2 and smaller), take the rank from minors: a nonzero k-minor
@@ -77,11 +77,8 @@ class VecField:
         """
         nrows, ncols = mats.shape[-2], mats.shape[-1]
         top = min(nrows, ncols)
-        if cap is not None:
-            top = min(top, cap)
-        if min(nrows, ncols) > 1 and nrows * ncols > 9:
-            ranks = self._eliminate(mats)
-            return np.minimum(ranks, top, out=ranks)
+        if top > 1 and nrows * ncols > 9:
+            return self._eliminate(mats)
         ranks = np.zeros(mats.shape[0], dtype=np.uint8)
         for k in range(1, top + 1):
             seen = None

@@ -245,6 +245,17 @@ def test_tree_count_budget_sees_only_the_core(tmp_path, capsys):
     assert out.err == "evaluations=97\n"
 
 
+def test_signed_sums_charge_the_minor_enumeration(capsys):
+    # K5's 291 forests A each pair with every subset B of the other
+    # 10 - |A| edges: 39 744 (A, B) pairs, charged before any is built
+    code = main(["verify", "--identity", "signed-sums", "--name", "K5",
+                 "--q", "2", "--budget", "39743"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "q=2: signed minor enumeration needs 39744 evaluations, budget is 39743\n"
+    )
+
+
 def test_incidence_scan_is_budgeted():
     # P3 into F_3^7: 1094^3 maps of projective points (1094 = 1 + 2186/2)
     # times 2 classes of invertible forms, the scan is refused before any

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import random
 
 import pytest
 
@@ -208,6 +209,34 @@ def test_count_X_matches_oracle_on_random_vector_matroids():
     check()
 
 
+def test_count_X_matches_oracle_on_cut_supported_matroids():
+    # the corpus above draws almost no matroid of rank >= 2 with a non-loop
+    # element outside the basis.  Here each column is supported on one side
+    # of a coordinate cut (a cut at 0 or at the dimension leaves it free),
+    # which draws such matroids with a frame element and without one, direct
+    # sums among them; a pin of the wrong element shows on the second kind
+    rng = random.Random(25)
+    seen, kinds = set(), {True: 0, False: 0}
+    for _ in range(600):
+        q, dim = rng.choice((2, 3)), rng.randint(2, 3)
+        cut = rng.randint(0, dim)
+        cols = []
+        for _ in range(rng.randint(3, 5)):
+            lo, hi = (0, cut) if rng.random() < 0.5 else (cut, dim)
+            cols.append([rng.randrange(q) if lo <= i < hi else 0 for i in range(dim)])
+        matroid = vector_matroid(make_field(q), cols)
+        r = matroid.rank
+        if r < 2 or q ** (r * matroid.m) > 40000 or (matroid.ranks, q) in seen:
+            continue
+        seen.add((matroid.ranks, q))
+        basis = matroids._greedy_basis(matroid, (1 << matroid.m) - 1)
+        if not any(matroid.ranks[1 << e] for e in range(matroid.m) if e not in basis):
+            continue
+        kinds[matroids._frame_element(matroid, basis) is not None] += 1
+        assert count_X(matroid, r, q) == count_X_oracle(matroid, r, q), (cols, q)
+    assert kinds[True] >= 10 and kinds[False] >= 50, kinds
+
+
 def test_frame_pin_matches_oracle_with_and_without_a_frame():
     # a frame element needs every basis coordinate nonzero: a direct sum
     # (U1,2 + U1,2) or a matroid with a coloop (U1,2 + U1,1, U2,3 + U1,1)
@@ -248,26 +277,39 @@ def test_count_X_conventions():
 def test_count_X_in_shrunken_chunks(monkeypatch):
     # chunks of 1, 50 and 1000 field entries: one candidate per chunk, line
     # slices of a frontier row (the 13 lines of F_3^3 that each row of the
-    # unpinned U2,4 search tries), and several rows per chunk
-    cases = [(fano(), 3, 4), (uniform(2, 4), 3, 3), (uniform(3, 5), 4, 2)]
-    want = []
-    for case in cases:
+    # unpinned U2,4 search tries), and several rows per chunk.  The unpinned
+    # U3,5 in F_2^4 (38 670 nodes) runs at chunk 1000 only, where its
+    # candidates meet up to 48 forms each
+    cases = [(fano(), 3, 4), (uniform(2, 4), 3, 3)]
+    big = (uniform(3, 5), 4, 2)
+    want = {}
+    for case in cases + [big]:
         stats.reset()
-        want.append((count_X(*case), stats.evaluations))
+        want[case] = (count_X(*case), stats.evaluations)
     dot, sizes = vecops.VecField.dot, []
+    points, starts = vecops.projective_points, []
 
-    def recorded(self, u, v):
+    def recorded_dot(self, u, v):
         out = dot(self, u, v)
         sizes.append(out.size)
         return out
 
-    monkeypatch.setattr(vecops.VecField, "dot", recorded)
+    def recorded_points(d, q, start, stop):
+        starts.append(start)
+        return points(d, q, start, stop)
+
+    monkeypatch.setattr(vecops.VecField, "dot", recorded_dot)
+    monkeypatch.setattr(vecops, "projective_points", recorded_points)
     for chunk in (1, 50, 1000):
         monkeypatch.setattr(matroids, "_X_CHUNK", chunk)
         sizes.clear()
-        for case, expected in zip(cases, want):
+        starts.clear()
+        for case in cases + ([big] if chunk == 1000 else []):
             stats.reset()
-            assert (count_X(*case), stats.evaluations) == expected, (chunk, case)
+            assert (count_X(*case), stats.evaluations) == want[case], (chunk, case)
+        if chunk < 1000:
+            # a frontier row is split over line slices
+            assert max(starts) > 0, chunk
         # the budget is charged per chunk, yet refused at the same node
         stats.reset(budget=10)
         with pytest.raises(BudgetExceeded):
