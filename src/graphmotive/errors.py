@@ -46,7 +46,11 @@ class BudgetExceeded(GraphMotiveError):
         self.required = required
         self.budget = limit
         self.what = what
-        super().__init__(f"{what} needs {required} evaluations, budget is {limit}")
+        try:
+            needs = str(required)
+        except ValueError:  # over the interpreter's int-to-str digit limit
+            needs = f"at least 2^{required.bit_length() - 1}"
+        super().__init__(f"{what} needs {needs} evaluations, budget is {limit}")
 
 
 class NotAForest(GraphMotiveError):

@@ -6,9 +6,10 @@ digits are c_0 (least significant) to c_{n-1}.  So 0 is zero, 1 is the unit
 and the integer c is index c mod p.  The modulus is chosen deterministically
 (the lexicographically least monic irreducible of degree n, coefficients
 compared low-degree-first), so the same q always yields the same tables.
-Fields exist only for q <= 256, and only as their four operation tables:
-every count is an exhaustive scan over element indices, and every element
-operation is one table lookup.
+Fields exist only for q <= 256, and only as their four operation tables,
+built in numpy from base-p digits and the multiply-by-x map (Lidl and
+Niederreiter, Finite Fields, ch. 2): every count is an exhaustive scan over
+element indices, and every element operation is one table lookup.
 """
 
 from __future__ import annotations
@@ -46,26 +47,8 @@ def _prime_power(q: int) -> tuple[int, int]:
 # -- polynomial helpers over F_p (dense tuples, constant first) --------------
 
 
-def _ptrim(a: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return a[:i]
-
-
-def _pmul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(tuple(out))
-
-
 def _pmod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Remainder of a by monic m."""
+    """Remainder of a by monic m, its zero high coefficients kept."""
     a = list(a)
     dm = len(m) - 1
     while len(a) > dm:
@@ -75,7 +58,7 @@ def _pmod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]:
             for i in range(dm + 1):
                 a[shift + i] = (a[shift + i] - lead * m[i]) % p
         a.pop()
-    return _ptrim(tuple(a))
+    return tuple(a)
 
 
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
@@ -86,14 +69,12 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     for d in range(1, deg // 2 + 1):
         for tail in itertools.product(range(p), repeat=d):
             divisor = tuple(tail) + (1,)
-            if not _pmod(poly, divisor, p):
+            if not any(_pmod(poly, divisor, p)):
                 return False
     return True
 
 
 def _least_irreducible(p: int, n: int) -> tuple[int, ...]:
-    if n == 1:
-        return (0, 1)  # the polynomial X
     for tail in itertools.product(range(p), repeat=n):
         # itertools.product yields coefficient tuples in ascending
         # lexicographic order with the constant coefficient most significant;
@@ -109,7 +90,8 @@ class FieldSpec:
 
     Index i is the element whose coefficient c_j is the j-th base-p digit of
     i, c_0 least significant: 0 is zero, 1 is the unit, and the integer c is
-    index c mod p.  inv_table maps zero to zero.
+    index c mod p.  inv_table maps zero to zero.  np_tables holds the same
+    tables as uint8 arrays, and the *_table lists are their .tolist().
     """
 
     def __init__(self, q: int):
@@ -120,48 +102,35 @@ class FieldSpec:
         self.p = p
         self.n = n
         self.modulus: tuple[int, ...] = _least_irreducible(p, n)
-        # itertools.product varies its last digit fastest, so reversing each
-        # tuple puts c_0 first and index i holds the base-p digits of i
-        coeffs = [tuple(reversed(d)) for d in itertools.product(range(p), repeat=n)]
-        index = {c: i for i, c in enumerate(coeffs)}
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for i, ac in enumerate(coeffs):
-            for j in range(i, q):
-                bc = coeffs[j]
-                s = tuple((x + y) % p for x, y in zip(ac, bc))
-                add[i][j] = add[j][i] = index[s]
-                prod = _pmod(_pmul(_ptrim(ac), _ptrim(bc), p), self.modulus, p)
-                prod = prod + (0,) * (n - len(prod))
-                mul[i][j] = mul[j][i] = index[prod]
-        self.add_table = add
-        self.mul_table = mul
-        self.neg_table = [row.index(0) for row in add]
-        self.inv_table = [0] + [row.index(1) for row in mul[1:]]
-        self._np = None
+        import numpy as np
 
-    # -- numpy views of the tables --------------------------------------
-
-    @property
-    def np_tables(self):
-        """(add, mul, neg, inv, flat_add, flat_mul) as uint8 arrays;
-        inv maps zero to zero."""
-        if self._np is None:
-            import numpy as np
-
-            add = np.array(self.add_table, dtype=np.uint8)
-            mul = np.array(self.mul_table, dtype=np.uint8)
-            neg = np.array(self.neg_table, dtype=np.uint8)
-            inv = np.array(self.inv_table, dtype=np.uint8)
-            self._np = SimpleNamespace(
-                add=add,
-                mul=mul,
-                neg=neg,
-                inv=inv,
-                flat_add=np.ascontiguousarray(add.reshape(-1)),
-                flat_mul=np.ascontiguousarray(mul.reshape(-1)),
-            )
-        return self._np
+        # row i of digits holds c_0 .. c_{n-1} of index i
+        weights = np.array([p**j for j in range(n)], dtype=np.int64)
+        digits = np.arange(q, dtype=np.int64)[:, None] // weights % p
+        # a * b = sum_j b_j (a * x^j), and the digits of a * x^j from those
+        # of a * x^(j-1): shift up one place and fold the top digit back in
+        # by x^n = -(m_0 + ... + m_{n-1} x^(n-1)), m the monic modulus
+        fold = np.array([(p - c) % p for c in self.modulus[:n]], dtype=np.int64)
+        power = digits
+        prod = power[:, None, :] * digits[:, 0, None]
+        for j in range(1, n):
+            up = np.concatenate([np.zeros((q, 1), dtype=np.int64), power[:, :-1]], axis=1)
+            power = (up + power[:, -1:] * fold) % p
+            prod += power[:, None, :] * digits[:, j, None]
+        # digit vectors back to indices by a sum, not @: set-up builds fields,
+        # and matmul's code, which most kernels never run, would add to peak RSS
+        unreduced = (digits[:, None, :] + digits, prod, digits * (p - 1))
+        add, mul, neg = ((v % p * weights).sum(axis=-1) for v in unreduced)
+        inv = ((mul == 1) * np.arange(q)).sum(axis=1)  # row 0 holds no unit: inv[0] = 0
+        add, mul, neg, inv = (t.astype(np.uint8) for t in (add, mul, neg, inv))
+        self.np_tables = SimpleNamespace(
+            add=add, mul=mul, neg=neg, inv=inv,
+            flat_add=add.reshape(-1), flat_mul=mul.reshape(-1),
+        )
+        self.add_table = add.tolist()
+        self.mul_table = mul.tolist()
+        self.neg_table = neg.tolist()
+        self.inv_table = inv.tolist()
 
     def __repr__(self) -> str:
         return f"FieldSpec(q={self.q}, p={self.p}, n={self.n}, modulus={self.modulus})"

@@ -135,6 +135,18 @@ def _span_table(s: int, q: int, k: int):
     return table
 
 
+def _unsatisfiable(s: int, constraints) -> bool:
+    """Some span requirement exceeds s or its mask's size: no map meets it."""
+    return s >= 0 and any(need > min(s, mask.bit_count()) for mask, need in constraints)
+
+
+def _scan_shape(s: int, q: int, rank: int):
+    """(P, classes) of _count's scan, charged P^n times the classes for n
+    vertices: P = 1 + (q^s - 1)/(q - 1) values a vertex takes, zero or a point."""
+    classes = _classes(s, q, rank)
+    return 1 + (q**s - 1) // (q - 1), classes
+
+
 def _count(g: Graph, s: int, q: int, rank: int, constraints) -> int:
     """(Q, f) pairs with Q of the given rank whose map meets every (vertex
     mask, span dimension) requirement.  An unsatisfiable requirement gives
@@ -161,7 +173,7 @@ def _count(g: Graph, s: int, q: int, rank: int, constraints) -> int:
     P points and P^2 entries per class when g has an edge, and P^k <= P^n
     span entries per mask of k vertices (none for the empty mask), so no
     table outgrows its scan."""
-    if s >= 0 and any(need > min(s, mask.bit_count()) for mask, need in constraints):
+    if _unsatisfiable(s, constraints):
         return 0
     *others, (mask, need) = constraints or ((0, 0),)
     others = tuple(sorted(others))
@@ -173,8 +185,7 @@ def _count(g: Graph, s: int, q: int, rank: int, constraints) -> int:
 
         n = g.n
         edges = sorted(_edge_pairs(g))
-        classes = _classes(s, q, rank)
-        points = 1 + (q**s - 1) // (q - 1)
+        points, classes = _scan_shape(s, q, rank)
         scan = _scan(n, points, "incidence scan", per_row=len(classes), chunk=_F_CHUNK)
         forms = _form_tables(s, q, rank) if edges else [(z, None) for _, z in classes]
         rows = indices_from_mask(mask)
@@ -346,19 +357,6 @@ class IdentityReport:
         return self.equal
 
 
-def _attach_to_subset(g: Graph, subset: int, t: int) -> Graph:
-    """t new vertices, each joined to every vertex in the subset."""
-    if not 0 <= subset < (1 << g.n):
-        raise BadParams(f"vertex subset mask {subset} out of range")
-    if t < 0:
-        raise BadParams(f"number of new vertices must be nonnegative, got {t}")
-    hooks = [v for v in range(g.n) if subset & (1 << v)]
-    edges = list(g.edges) + [
-        (h, g.n + j) for j in range(t) for h in hooks
-    ]
-    return Graph(g.n + t, tuple(edges))
-
-
 def verify_identity(name: str, params: dict, q: int) -> IdentityReport:
     """Evaluate both sides of a named counting identity by enumeration plus
     closed-form factors and report the comparison.
@@ -442,7 +440,18 @@ def verify_identity(name: str, params: dict, q: int) -> IdentityReport:
         base: PartialRank = p.get("base") or PartialRank(g.n, ())
         if any(mask == subset for mask, _ in base.pairs):
             raise BadParams("base requirements already constrain the subset")
-        extended = _attach_to_subset(g, subset, t)
+        if not 0 <= subset < (1 << g.n):
+            raise BadParams(f"vertex subset mask {subset} out of range")
+        if t < 0:
+            raise BadParams(f"number of new vertices must be nonnegative, got {t}")
+        if s >= 0 and not _unsatisfiable(s, base.pairs):
+            # the left side scans n + t vertices: refuse before building them
+            points, classes = _scan_shape(s, q, s)
+            stats.check(points ** (g.n + t) * len(classes), "incidence scan")
+        # t new vertices, each joined to every vertex of the subset
+        hooks = indices_from_mask(subset)
+        new_edges = tuple((h, g.n + j) for j in range(t) for h in hooks)
+        extended = Graph(g.n + t, tuple(g.edges) + new_edges)
         lifted = PartialRank(extended.n, base.pairs)
         lhs = count_J_partial(extended, s, lifted, q)
         rhs = 0

@@ -369,11 +369,16 @@ def count_X(matroid: Matroid, s: int | None = None, q: int = 2) -> int:
 
     from .vecops import VecField, projective_points
 
+    vf = VecField(make_field(q))
+    limit = stats.budget
+    # above the rank nothing is pinned, so the first non-loop element visits
+    # all (q^s - 1)/(q - 1) lines: refuse that before building the plan
+    if s > matroid.rank > 0 and (q**s - 1) // (q - 1) > limit:
+        stats.evaluations += limit + 1
+        raise BudgetExceeded(limit + 1, limit, "representation scan")
     start, scaled, levels = stats.memoized(
         ("XM plan", matroid.ranks, s), lambda: _search_plan(matroid, s)
     )
-    vf = VecField(make_field(q))
-    limit = stats.budget
 
     def extend(t: int, rows, c0: int, c1: int):
         """The prefixes rows + one candidate of lines [c0, c1) that meet

@@ -10,7 +10,8 @@ multilinear (the only kind built here) is computed exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import itertools
 
 from .errors import BadParams, LengthMismatch, TooLarge
 from .graphs import Graph
@@ -154,81 +155,67 @@ def tree_complement_poly(g: Graph) -> MultilinearPoly:
     return MultilinearPoly(g.m, {full ^ tree: 1 for tree in _spanning_trees(g)})
 
 
-@dataclass
-class SymbolicMatrix:
-    """Square matrix of polynomials in nvars variables."""
-
-    nvars: int
-    entries: list[list[MultilinearPoly]] = field(repr=False)
-
-    def at(self, i: int, j: int) -> MultilinearPoly:
-        return self.entries[i][j]
-
-
-def laplacian(g: Graph) -> SymbolicMatrix:
-    """Weighted Laplacian in the edge variables; loops contribute nothing."""
+def laplacian(g: Graph) -> list[list[MultilinearPoly]]:
+    """Weighted Laplacian rows in the edge variables; loops contribute nothing."""
     nvars = g.m
-    entries = [
-        [MultilinearPoly.zero(nvars) for _ in range(g.n)] for _ in range(g.n)
-    ]
+    rows = [[MultilinearPoly.zero(nvars) for _ in range(g.n)] for _ in range(g.n)]
     for i, (u, v) in enumerate(g.edges):
         if u == v:
             continue
         x = MultilinearPoly.variable(nvars, i)
-        entries[u][u] = entries[u][u] + x
-        entries[v][v] = entries[v][v] + x
-        entries[u][v] = entries[u][v] - x
-        entries[v][u] = entries[v][u] - x
-    return SymbolicMatrix(nvars, entries)
+        rows[u][u] = rows[u][u] + x
+        rows[v][v] = rows[v][v] + x
+        rows[u][v] = rows[u][v] - x
+        rows[v][u] = rows[v][u] - x
+    return rows
 
 
-def reduced_laplacian(g: Graph) -> SymbolicMatrix:
+def reduced_laplacian(g: Graph) -> list[list[MultilinearPoly]]:
     """Laplacian with vertex 0's row and column struck out."""
     if g.n == 0:
         raise BadParams("reduced Laplacian needs at least one vertex")
-    lap = laplacian(g)
-    keep = range(1, g.n)
-    entries = [[lap.at(i, j) for j in keep] for i in keep]
-    return SymbolicMatrix(g.m, entries)
+    return [row[1:] for row in laplacian(g)[1:]]
 
 
-def symbolic_det(m: SymbolicMatrix) -> MultilinearPoly:
-    """Exact determinant by Laplace expansion, memoized on column subsets."""
-    dim = len(m.entries)
+@functools.cache
+def _laplace_plan(n: int):
+    """Laplace expansion steps for n x n determinants down the rows,
+    smaller column sets first: (column mask, the row it expands along, its
+    (column, remaining mask) terms of sign + and of sign -).  The minor on
+    the last k rows and a k-column mask expands along its top row into
+    minors on the last k - 1 rows; masks of one column are the last row's
+    entries themselves and need no step."""
+    steps = []
+    for k in range(2, n + 1):
+        for cols in itertools.combinations(range(n), k):
+            mask = sum(1 << j for j in cols)
+            terms = [(j, mask & ~(1 << j)) for j in cols]
+            steps.append((mask, n - k, tuple(terms[0::2]), tuple(terms[1::2])))
+    return tuple(steps)
+
+
+def symbolic_det(rows: list[list[MultilinearPoly]], nvars: int) -> MultilinearPoly:
+    """Exact determinant of a square matrix of polynomials in nvars
+    variables, by walking _laplace_plan."""
+    dim = len(rows)
     if dim > DET_LIMIT:
         raise TooLarge(f"symbolic determinant capped at dimension {DET_LIMIT}")
-    nvars = m.nvars
-    memo: dict[int, MultilinearPoly] = {}
-
-    def expand(colmask: int) -> MultilinearPoly:
-        # determinant of the submatrix on the last k rows and the columns
-        # in colmask, where k = popcount(colmask)
-        if colmask == 0:
-            return MultilinearPoly.const(nvars, 1)
-        cached = memo.get(colmask)
-        if cached is not None:
-            return cached
-        row = dim - colmask.bit_count()
+    if dim == 0:
+        return MultilinearPoly.const(nvars, 1)
+    minors = {1 << j: rows[dim - 1][j] for j in range(dim)}
+    for mask, row, plus, minus in _laplace_plan(dim):
         total = MultilinearPoly.zero(nvars)
-        sign = 1
-        for j in range(dim):
-            if not colmask >> j & 1:
-                continue
-            entry = m.entries[row][j]
-            if entry:
-                sub = expand(colmask & ~(1 << j))
-                piece = entry * sub
-                total = total + (piece if sign > 0 else -piece)
-            sign = -sign
-        memo[colmask] = total
-        return total
-
-    return expand((1 << dim) - 1)
+        for j, rest in plus:
+            total = total + rows[row][j] * minors[rest]
+        for j, rest in minus:
+            total = total - rows[row][j] * minors[rest]
+        minors[mask] = total
+    return minors[(1 << dim) - 1]
 
 
 def matrix_tree_check(g: Graph) -> bool:
     """det of the reduced Laplacian == spanning-tree polynomial, symbolically."""
-    return symbolic_det(reduced_laplacian(g)) == spanning_tree_poly(g)
+    return symbolic_det(reduced_laplacian(g), g.m) == spanning_tree_poly(g)
 
 
 def duality_check(g: Graph) -> bool:

@@ -7,12 +7,12 @@ be processed as uint8 arrays (every field has q <= 256).
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 import numpy as np
 
 from .ffield import FieldSpec
+from .polys import _laplace_plan
 
 
 class VecField:
@@ -46,10 +46,9 @@ class VecField:
     # -- determinants and ranks ------------------------------------------
 
     def det(self, mats: np.ndarray) -> np.ndarray:
-        """Determinant of (N, n, n) index matrices, by Laplace expansion down
-        the rows, memoized on column sets as in polys.symbolic_det: the minor
-        on the last k rows and a k-column set expands along its top row into
-        minors on the last k - 1 rows."""
+        """Determinant of (N, n, n) index matrices, by walking the Laplace
+        expansion of polys._laplace_plan, as polys.symbolic_det does: one
+        batch of minors per column mask."""
         n = mats.shape[-1]
         if n == 0:
             return np.ones(mats.shape[0], dtype=mats.dtype)  # index 1 is the unit
@@ -126,21 +125,6 @@ class VecField:
                     work[:, i, j + 1 :], self.mul(factor[:, None], prow)
                 )
         return ranks
-
-
-@functools.cache
-def _laplace_plan(n: int):
-    """det's expansion steps for n x n matrices, smaller column sets first:
-    (column mask, the row it expands along, its (column, remaining mask)
-    terms of sign + and of sign -).  Masks of one column are the last row's
-    entries themselves and need no step."""
-    steps = []
-    for k in range(2, n + 1):
-        for cols in itertools.combinations(range(n), k):
-            mask = sum(1 << j for j in cols)
-            terms = [(j, mask & ~(1 << j)) for j in cols]
-            steps.append((mask, n - k, tuple(terms[0::2]), tuple(terms[1::2])))
-    return tuple(steps)
 
 
 def decode_assignments(

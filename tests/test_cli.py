@@ -267,6 +267,37 @@ def test_incidence_scan_is_budgeted():
     assert time.monotonic() - start < 2
 
 
+def test_huge_scans_are_refused_in_one_line_before_any_build():
+    # a requirement past the interpreter's 4300-digit int-to-str limit is
+    # stated as a power of two; XM above the rank is refused before its
+    # search plan is built, and pi-strat before its extended graph of
+    # 10^6 + 3 vertices
+    for argv, needs in (
+        (("count", "--kind", "L", "--pi", "3:", "--s", "5000"),
+         "incidence scan needs at least 2^15000"),
+        (("verify", "--identity", "pi-strat", "--name", "P3", "--s", "1",
+          "--subset", "7", "--t", "1000000"),
+         "incidence scan needs at least 2^1000003"),
+        (("count", "--kind", "XM", "--matroid", "U3,5", "--s", "120"),
+         "representation scan needs 100000001"),
+    ):
+        start = time.monotonic()
+        out = run_gm(*argv, "--q", "2")
+        assert time.monotonic() - start < 2
+        assert out.returncode == 1
+        assert out.stderr == f"q=2: {needs} evaluations, budget is 100000000\n"
+
+
+def test_pi_strat_over_the_budget_answers_an_unsatisfiable_base(capsys):
+    # P3 with 30 new vertices at s = 1 is a 2^33-map scan, but a base
+    # requirement of span 2 on one vertex leaves nothing to scan: 0 = 0
+    argv = ["verify", "--identity", "pi-strat", "--name", "P3", "--s", "1",
+            "--subset", "7", "--t", "30", "--q", "2"]
+    assert main(argv) == 1
+    assert main([*argv, "--pi", "3:1=2"]) == 0
+    assert capsys.readouterr().out == "identity=pi-strat q=2 lhs=0 rhs=0 PASS\n"
+
+
 def test_incidence_counts_never_list_the_forms():
     # the empty graph has one map, scanned once per class of invertible
     # 6 x 6 forms: no census of the 5^21 symmetric forms is built

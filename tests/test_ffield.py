@@ -149,7 +149,8 @@ def test_index_tables_agree_with_element_arithmetic():
     coefficient vectors: sums coefficient-wise mod p, products schoolbook
     and reduced by the field's monic modulus.  The coefficient vector of
     index i is read off the base-p digits of i, so this also pins the
-    element order."""
+    element order.  27, 32, 81 and 125 have p odd or n >= 3, so the tables'
+    multiply-by-x step reduces by the modulus more than once."""
 
     def poly_sum(a, b, p):
         return tuple((x + y) % p for x, y in zip(a, b))
@@ -166,7 +167,7 @@ def test_index_tables_agree_with_element_arithmetic():
                 prod[d - n + k] = (prod[d - n + k] - lead * modulus[k]) % p
         return tuple(prod[:n])
 
-    for q in SMALL + [16]:
+    for q in SMALL + [16, 27, 32, 81, 125]:
         field = make_field(q)
         p, n = field.p, field.n
         # index i holds the base-p digits of i, c_0 least significant
