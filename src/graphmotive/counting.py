@@ -211,10 +211,7 @@ def _tree_count(g: Graph, q: int, kind: str) -> int:
         loops = mask_from_indices(i for i, (u, v) in enumerate(g.edges) if u == v)
         if loops:
             return loop ** loops.bit_count() * _tree_count(g.delete_edges(loops), q, kind)
-        full = (1 << g.m) - 1
-        bridges = mask_from_indices(
-            i for i in range(g.m) if g.subset_betti(full ^ 1 << i)[0] > 1
-        )
+        bridges = g.bridges()
         if bridges:
             return bridge ** bridges.bit_count() * _tree_count(g.contract(bridges), q, kind)
         if kind == "X":

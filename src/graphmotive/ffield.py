@@ -91,7 +91,8 @@ class FieldSpec:
     Index i is the element whose coefficient c_j is the j-th base-p digit of
     i, c_0 least significant: 0 is zero, 1 is the unit, and the integer c is
     index c mod p.  inv_table maps zero to zero.  np_tables holds the same
-    tables as uint8 arrays, and the *_table lists are their .tolist().
+    tables as uint8 arrays (the *_table lists are their .tolist()), and mod,
+    the residue mod p of every integer 0 .. (p - 1)^2.
     """
 
     def __init__(self, q: int):
@@ -126,6 +127,7 @@ class FieldSpec:
         self.np_tables = SimpleNamespace(
             add=add, mul=mul, neg=neg, inv=inv,
             flat_add=add.reshape(-1), flat_mul=mul.reshape(-1),
+            mod=(np.arange((p - 1) ** 2 + 1) % p).astype(np.uint8),
         )
         self.add_table = add.tolist()
         self.mul_table = mul.tolist()

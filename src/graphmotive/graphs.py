@@ -119,6 +119,46 @@ class Graph:
         b0 = len({uf.find(v) for v in range(self.n)})
         return b0, count - self.n + b0
 
+    def bridges(self) -> EdgeSubset:
+        """Mask of the bridges, the edges whose deletion adds a component,
+        from one lowpoint depth-first search (Tarjan 1974), run on an
+        explicit stack so that long paths do not recurse.  The search skips
+        only the edge it entered a vertex by, so a loop or a parallel edge,
+        which lies on a cycle, is never a bridge."""
+        adj = [[] for _ in range(self.n)]
+        for i, (u, v) in enumerate(self.edges):
+            adj[u].append((v, i))
+            adj[v].append((u, i))
+        order = [-1] * self.n  # discovery time
+        low = [0] * self.n  # least discovery time reachable through one back edge
+        found = []
+        clock = 0
+        for root in range(self.n):
+            if order[root] >= 0:
+                continue
+            order[root] = low[root] = clock
+            clock += 1
+            stack = [(root, -1, iter(adj[root]))]
+            while stack:
+                v, entered, todo = stack[-1]
+                for w, i in todo:
+                    if i == entered:
+                        continue
+                    if order[w] < 0:
+                        order[w] = low[w] = clock
+                        clock += 1
+                        stack.append((w, i, iter(adj[w])))
+                        break
+                    low[v] = min(low[v], order[w])
+                else:
+                    stack.pop()
+                    if stack:
+                        parent = stack[-1][0]
+                        low[parent] = min(low[parent], low[v])
+                        if low[v] > order[parent]:
+                            found.append(entered)
+        return mask_from_indices(found)
+
     def subset_is_forest(self, mask: EdgeSubset) -> bool:
         return self.subset_betti(mask)[1] == 0
 

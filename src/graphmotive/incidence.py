@@ -175,17 +175,19 @@ def _count(g: Graph, s: int, q: int, rank: int, constraints) -> int:
     table outgrows its scan."""
     if _unsatisfiable(s, constraints):
         return 0
+    if s < 0:
+        raise BadParams(f"ambient dimension must be nonnegative, got {s}")
     *others, (mask, need) = constraints or ((0, 0),)
     others = tuple(sorted(others))
+    points, classes = _scan_shape(s, q, rank)
+    # refused before the memo key and the edge pairs, which sort every edge
+    stats.check(points**g.n * len(classes), "incidence scan")
 
     def compute():
-        if s < 0:
-            raise BadParams(f"ambient dimension must be nonnegative, got {s}")
         import numpy as np
 
         n = g.n
         edges = sorted(_edge_pairs(g))
-        points, classes = _scan_shape(s, q, rank)
         scan = _scan(n, points, "incidence scan", per_row=len(classes), chunk=_F_CHUNK)
         forms = _form_tables(s, q, rank) if edges else [(z, None) for _, z in classes]
         rows = indices_from_mask(mask)

@@ -1,13 +1,15 @@
-"""Batched F_q arithmetic on element indices via numpy table gathers.
+"""Batched F_q arithmetic on element indices.
 
-Every element of F_q is its index in the field's fixed enumeration; addition
-and multiplication become flat-table lookups, so whole assignment spaces can
-be processed as uint8 arrays (every field has q <= 256).
+Every element of F_q is its index in the field's fixed enumeration, so whole
+assignment spaces can be processed as uint8 arrays (every field has
+q <= 256).  Where the index arithmetic is native integer arithmetic, the ops
+are numpy integer ops; elsewhere they gather from flat q^2 tables.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -16,25 +18,39 @@ from .polys import _laplace_plan
 
 
 class VecField:
+    """Batched arithmetic of one field on element indices.
+
+    Operands are uint8 index arrays, numpy uint8 scalars or Python ints in
+    range(q), broadcast as numpy broadcasts; every result is uint8.  The ops
+    are chosen once, from p and n (Lidl and Niederreiter, Finite Fields,
+    ch. 2):
+      p = 2:       an index's bits are its coefficients, so add and sub are
+                   XOR, and at q = 2 mul is AND;
+      q = p odd:   an index is its residue, so add is the uint8 sum less p
+                   where it reaches p (a lookup in the field's mod table for
+                   p >= 131, where the sum can pass 255), and mul is the
+                   product (uint16 above q = 16) reduced by that lookup;
+    every other op gathers from the flat q^2 tables: mul for q = 4 .. 256
+    even, add and mul for odd prime powers (9, 25, 27, ...).  sub is
+    add(a, neg(b)) where it is not native.
+    """
+
     def __init__(self, field: FieldSpec):
-        t = field.np_tables
-        self.q = field.q
-        self.flat_add = t.flat_add
-        self.flat_mul = t.flat_mul
-        self.neg_table = t.neg
-        self.inv_table = t.inv
+        self.neg_table = field.np_tables.neg
+        self.inv_table = field.np_tables.inv
+        self._add, self._sub, self._mul = _field_ops(field)
 
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.flat_add[a.astype(np.int32) * self.q + b]
+    def add(self, a, b) -> np.ndarray:
+        return self._add(a, b)
 
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.flat_mul[a.astype(np.int32) * self.q + b]
+    def mul(self, a, b) -> np.ndarray:
+        return self._mul(a, b)
 
-    def neg(self, a: np.ndarray) -> np.ndarray:
-        return self.neg_table[a]
+    def neg(self, a) -> np.ndarray:
+        return self.neg_table.take(a)
 
-    def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.add(a, self.neg(b))
+    def sub(self, a, b) -> np.ndarray:
+        return self._sub(a, b)
 
     def dot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Inner product along the last axis."""
@@ -125,6 +141,43 @@ class VecField:
                     work[:, i, j + 1 :], self.mul(factor[:, None], prow)
                 )
         return ranks
+
+
+@lru_cache(maxsize=None)
+def _field_ops(field: FieldSpec):
+    """(add, sub, mul) of the field, chosen from p and n as VecField says,
+    once per field: each kernel call builds its own VecField."""
+    t = field.np_tables
+    q, p, mod, neg = field.q, field.p, t.mod, t.neg
+    # a q + b, and a b or a + b in F_p, stay below q^2: uint8 up to q = 16
+    wide = np.uint8 if q <= 16 else np.uint16
+
+    def gather(flat):
+        return lambda a, b: flat.take(np.multiply(a, q, dtype=wide) + b)
+
+    def reduce(op):
+        return lambda a, b: mod.take(op(a, b, dtype=wide))
+
+    def wrap_add(a, b):
+        # 2p - 2 < 256: s - p wraps above s exactly where s < p
+        s = np.add(a, b, dtype=np.uint8)
+        return np.minimum(s, np.subtract(s, p, dtype=np.uint8))
+
+    def wrap_sub(a, b):
+        d = np.subtract(a, b, dtype=np.uint8)
+        return np.minimum(d, np.add(d, p, dtype=np.uint8))
+
+    if p == 2:
+        add = sub = partial(np.bitwise_xor, dtype=np.uint8)
+        mul = partial(np.bitwise_and, dtype=np.uint8) if q == 2 else gather(t.flat_mul)
+    elif q == p:
+        mul = reduce(np.multiply)
+        add, sub = (wrap_add, wrap_sub) if p < 128 else (reduce(np.add), None)
+    else:
+        add, sub, mul = gather(t.flat_add), None, gather(t.flat_mul)
+    if sub is None:
+        sub = lambda a, b: add(a, neg.take(b))  # noqa: E731
+    return add, sub, mul
 
 
 def decode_assignments(

@@ -116,6 +116,15 @@ def test_count_rejects_multigraph_for_incidence_kinds(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "error:" in captured.err
+    # the scan's charge is read first: over the budget, the same graph is
+    # refused for its size (P^n = 4 maps), which is no usage error
+    code = main(
+        ["count", "--kind", "J", "--graph", str(graph_file), "--q", "2", "--s", "1",
+         "--budget", "3"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "incidence scan" in captured.err
 
 
 def test_count_text_matches_library(capsys):
@@ -683,6 +692,27 @@ def test_usage_errors_exit_two(tmp_path, capsys):
             main(argv)
         capsys.readouterr()
         assert info.value.code == 2, argv
+
+
+HELP_CASES = [
+    ["--help"],
+    *([name, "--help"] for name in ("poly", "count", "verify", "fit", "counterexample")),
+    [],  # no command
+    ["frob"],  # unknown command
+    ["count", "--kind", "XG", "--name", "K4"],  # --q missing
+]
+
+
+def test_help_and_usage_errors_match_the_pinned_text(monkeypatch, capsys):
+    # every help text and usage error, byte for byte, with its exit code
+    monkeypatch.setenv("COLUMNS", "80")
+    got = []
+    for argv in HELP_CASES:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        out, err = capsys.readouterr()
+        got.append(f"=== {argv} exit={info.value.code}\n--- stdout\n{out}--- stderr\n{err}")
+    assert "".join(got) == (Path(__file__).parent / "cli_help.txt").read_text()
 
 
 def test_representation_search_plan_is_built_once_per_run(monkeypatch, capsys):

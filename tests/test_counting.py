@@ -307,7 +307,7 @@ def test_peeled_tree_counts_against_oracle():
             ), (g, q)
 
 
-def test_tree_count_rules_take_every_edge_they_fit_at_once():
+def test_tree_count_rules_take_every_edge_they_fit_at_once(monkeypatch):
     # each rule removes every loop, bridge or twin it finds in one step, so
     # the recursion is one level per round of rules, not per edge: P400 is
     # one round of 399 bridges, and a chain of 60 digons with a loop at the
@@ -323,6 +323,18 @@ def test_tree_count_rules_take_every_edge_they_fit_at_once():
         stats.reset()
         assert count(path(400), 3) == want
         assert memo_kinds() == [kind, kind] and stats.evaluations == 0
+    # one lowpoint search finds all 1599 bridges of P1600, where a Betti
+    # number per edge took 1.2 s
+    bettis, betti = [], Graph.subset_betti
+    monkeypatch.setattr(
+        Graph, "subset_betti", lambda g, mask: bettis.append(mask) or betti(g, mask)
+    )
+    stats.reset()
+    start = time.perf_counter()
+    assert count_tree_support(path(1600), 3) == 2**1599
+    assert time.perf_counter() - start < 1
+    assert len(bettis) <= 2 and stats.evaluations == 0
+    monkeypatch.undo()
     links = [(i, i + 1) for i in range(60)]
     chain = Graph(61, tuple(links + links + [(i, i) for i in range(60)]))
     stats.reset()

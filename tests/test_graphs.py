@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -106,6 +107,26 @@ def test_subset_betti_matches_subgraph_betti():
         sub = Graph(g.n, tuple(g.edges[i] for i in indices_from_mask(mask)))
         assert g.subset_betti(mask) == sub.betti()
         assert g.subset_is_forest(mask) == sub.is_forest()
+
+
+def test_bridges_match_the_per_edge_definition():
+    # an edge is a bridge when deleting it adds a component; the corpus has
+    # loops, parallel edges and several components
+    rng = random.Random(20)
+    corpus = [discrete(0), discrete(3), path(6), cycle(1), cycle(2), star(4)]
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        m = rng.randint(0, 12)
+        corpus.append(Graph(n, tuple(
+            (rng.randrange(n), rng.randrange(n)) for _ in range(m)
+        )))
+    for g in corpus:
+        full, b0 = (1 << g.m) - 1, g.betti()[0]
+        want = mask_from_indices(
+            i for i in range(g.m) if g.subset_betti(full ^ 1 << i)[0] > b0
+        )
+        assert g.bridges() == want, g
+    assert path(1600).bridges() == (1 << 1599) - 1  # deeper than the recursion limit
 
 
 def test_mask_helpers_round_trip():

@@ -5,6 +5,7 @@ relating them."""
 from __future__ import annotations
 
 import itertools
+import time
 from collections import Counter
 
 import numpy as np
@@ -15,6 +16,7 @@ from graphmotive import (
     BudgetExceeded,
     Graph,
     NotAForest,
+    NotSimple,
     PartialRank,
     complete,
     count_A,
@@ -28,6 +30,7 @@ from graphmotive import (
     discrete,
     fano,
     forest_J,
+    incidence,
     make_field,
     path,
     rank_from_index_rows,
@@ -106,8 +109,6 @@ def test_count_A_against_element_oracle():
 
 
 def test_non_simple_graphs_are_rejected():
-    from graphmotive import NotSimple
-
     for g in [Graph(1, ((0, 0),)), Graph(2, ((0, 1), (0, 1)))]:
         with pytest.raises(NotSimple):
             count_A(g, 1, 1, 1, 2)
@@ -514,7 +515,7 @@ def test_span_tables_match_element_ranks():
                     assert got == want, (s, q, k, tup)
 
 
-def test_tables_are_built_once_and_only_within_the_charge():
+def test_tables_are_built_once_and_only_within_the_charge(monkeypatch):
     tables = (_point_table, _form_tables, _span_table)
 
     def misses():
@@ -537,6 +538,31 @@ def test_tables_are_built_once_and_only_within_the_charge():
     with pytest.raises(BudgetExceeded):
         count_J(path(3), 7, 3)
     assert misses() == (0, 0, 0)
+    # so is P3 with 10^5 more vertices joined to all three (P = 2 values a
+    # vertex takes, one class), before its memo key or its edge pairs read
+    # the 3 10^5 edges
+    read = []
+    monkeypatch.setattr(Graph, "key", lambda g: read.append("key"))
+    monkeypatch.setattr(incidence, "_edge_pairs", lambda g: read.append("pairs"))
+    n = 3 + 10**5
+    big = Graph(n, ((0, 1), (1, 2), *((v, a) for v in range(3, n) for a in range(3))))
+    stats.reset()
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as info:
+        count_J(big, 1, 2)
+    assert time.perf_counter() - start < 1  # reading the edges took 0.7 s
+    assert str(info.value) == str(BudgetExceeded(2**n, stats.budget, "incidence scan"))
+    assert read == [] and stats.evaluations == 0 and misses() == (0, 0, 0)
+    # the charge is read before the graph is checked simple, so a multigraph
+    # over the budget is refused for its size and one within it as not simple
+    monkeypatch.undo()
+    doubled = Graph(2, ((0, 1), (0, 1)))
+    stats.reset(3)
+    with pytest.raises(BudgetExceeded):
+        count_J(doubled, 1, 2)
+    stats.reset()
+    with pytest.raises(NotSimple):
+        count_J(doubled, 1, 2)
     # the tables outlive a run: two runs build each one once
     for _ in range(2):
         stats.reset()

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 import random
 
 import pytest
@@ -171,6 +172,17 @@ def test_count_X_matches_oracle_on_uniforms():
                         cases.append((uniform(r, m), s, q))
     for matroid, s, q in cases:
         assert count_X(matroid, s, q) == count_X_oracle(matroid, s, q)
+
+
+def test_uniform_rank_two_counts_match_the_closed_form_at_large_q():
+    # m pairwise independent vectors of F_q^2: m distinct lines of the q + 1,
+    # in order, each scaled by a unit.  The orders take every kind of field
+    # op at q > 9: XOR and gathers (128, 256), products and sums mod p by
+    # lookup (131, 251), gathers (243)
+    for q in (128, 131, 243, 251, 256):
+        for m in (3, 4, 5):
+            want = (q - 1) ** m * math.factorial(q + 1) // math.factorial(q + 1 - m)
+            assert count_X(uniform(2, m), 2, q) == want, (q, m)
 
 
 def test_count_X_matches_oracle_on_random_vector_matroids():

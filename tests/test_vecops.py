@@ -1,6 +1,7 @@
 """Batched field kernels against scalar oracles.
 
-VecField.rank answers every matrix shape: small shapes through minors,
+VecField's add, mul, sub and neg are pinned to the field tables for every
+order q <= 256, whichever ops the field takes.  VecField.rank answers every matrix shape: small shapes through minors,
 larger ones through a batched elimination.  Both sides are compared with
 rank_from_index_rows on random and deliberately rank-deficient matrices.
 VecField.det is compared with the Leibniz formula on the same kind of
@@ -13,7 +14,7 @@ import itertools
 
 import pytest
 
-from graphmotive import make_field, rank_from_index_rows
+from graphmotive import NotPrimePower, make_field, rank_from_index_rows
 
 np = pytest.importorskip("numpy")
 
@@ -46,7 +47,43 @@ def sample_matrices(field, rng, r, c, count=24):
     return mats
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+# every kind of field op: XOR and AND (2), XOR and gather (4, 8, 16), sums and
+# products mod p (3, 5, 7, 131 by lookup), gathers (9, 25)
+KERNEL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 131]
+
+
+def test_ops_match_the_tables_for_every_order():
+    """On all q^2 pairs, as arrays, broadcast rows and columns, and numpy and
+    Python scalars on either side; every result is uint8."""
+    for q in range(2, 257):
+        try:
+            field = make_field(q)
+        except NotPrimePower:
+            continue
+        vf = VecField(field)
+        t = field.np_tables
+        elems = np.arange(q, dtype=np.uint8)
+        a, b = np.repeat(elems, q), np.tile(elems, q)
+        want = {"add": t.add, "mul": t.mul, "sub": t.add[:, t.neg]}
+        for name, table in want.items():
+            op = getattr(vf, name)
+            for got in (op(a, b).reshape(q, q), op(elems[:, None], elems[None, :])):
+                assert got.dtype == np.uint8, (q, name)
+                assert np.array_equal(got, table), (q, name)
+            for x in (0, 1, q - 1):
+                for scalar in (x, np.uint8(x)):
+                    left, right = op(scalar, elems), op(elems, scalar)
+                    assert left.dtype == right.dtype == np.uint8, (q, name)
+                    assert np.array_equal(left, table[x]), (q, name, x)
+                    assert np.array_equal(right, table[:, x]), (q, name, x)
+                both = op(np.uint8(x), q // 2)
+                assert both.dtype == np.uint8 and both == table[x, q // 2], (q, name)
+        neg = vf.neg(elems)
+        assert neg.dtype == np.uint8 and np.array_equal(neg, t.neg), q
+        assert vf.neg(q - 1) == t.neg[q - 1]
+
+
+@pytest.mark.parametrize("q", KERNEL_ORDERS)
 def test_rank_matches_row_reduction_for_every_shape(q):
     field = make_field(q)
     vf = VecField(field)
@@ -78,7 +115,7 @@ def leibniz_det(field, mat):
     return total
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", KERNEL_ORDERS)
 def test_det_matches_leibniz_oracle(q):
     field = make_field(q)
     vf = VecField(field)
