@@ -32,20 +32,6 @@ from .ffield import TABLE_LIMIT, _prime_power, make_field
 from .matroids import PartialRank
 from .motive import IntPoly, NoFit, fit_polynomial
 
-GRAPH_IDENTITIES = (
-    "firstred",
-    "secondred",
-    "cor-secondred",
-    "Dreduction",
-    "yuck",
-    "Jyuck",
-    "pi-strat",
-)
-BOOL_IDENTITIES = ("stanley-iso", "free-vertex", "signed-sums")
-ALL_IDENTITIES = GRAPH_IDENTITIES + BOOL_IDENTITIES + ("grassmann-factor",)
-
-COUNTEREXAMPLE_QS = (2, 3, 4, 5, 7, 8, 9)
-
 
 # ---------------------------------------------------------------------------
 # input plumbing
@@ -231,7 +217,7 @@ def _build_table(args, out_errors: list[str]) -> CountTable:
 
 def _emit_table(table: CountTable, fmt: str):
     if fmt == "json":
-        print(json.dumps({"table": json.loads(table.to_json())}, sort_keys=True))
+        print(json.dumps({"table": table.to_dict()}, sort_keys=True))
     elif fmt == "csv":
         print("q,count")
         for q in table.qs():
@@ -248,7 +234,7 @@ def _emit_table(table: CountTable, fmt: str):
 
 def cmd_poly(args) -> int:
     g = _load_graph(args)
-    # first, so the determinant cap refuses before any tree is enumerated
+    # first, so the determinant cap and the budget refuse before any tree is listed
     ok = polys.matrix_tree_check(g)
     p = polys.tree_complement_poly(g)
     qpoly = polys.spanning_tree_poly(g)
@@ -279,36 +265,18 @@ def cmd_verify(args) -> int:
     name = args.identity
     if name is None:
         raise ParseError("--identity is required")
-    if name not in ALL_IDENTITIES:
-        raise ParseError(
-            f"unknown identity {name!r}; choose from {', '.join(ALL_IDENTITIES)}"
-        )
+    source = incidence.IDENTITIES.get(name)
+    if source is None:
+        choices = ", ".join(incidence.IDENTITIES)
+        raise ParseError(f"unknown identity {name!r}; choose from {choices}")
     qs = _parse_q_list(args.q)
-    params: dict = {}
-    if name in BOOL_IDENTITIES:
-        g = _load_graph(args)
-        check = {
-            "stanley-iso": counting.verify_apex_support_iso,
-            "free-vertex": counting.verify_free_vertex_extension,
-            "signed-sums": counting.verify_contract_delete_sums,
-        }[name]
-    elif name == "grassmann-factor":
-        params["matroid"] = _load_matroid(args)
-        _require(args, "s")
-        params["s"] = args.s
-    else:
-        params["graph"] = _load_graph(args)
-        for key in ("s", "r", "k"):
-            val = getattr(args, key)
-            if val is not None:
-                params[key] = val
-        if name == "pi-strat":
-            params["t"] = args.t if args.t is not None else 1
-            if args.subset is None:
-                raise ParseError("pi-strat needs --subset (vertex bitmask)")
-            params["subset"] = args.subset
-            if args.pi is not None:
-                params["base"] = _parse_partial(args.pi)
+    # the one input the identity reads, and every option given
+    params = {source: _load_matroid(args) if source == "matroid" else _load_graph(args)}
+    for key in ("s", "r", "k", "t", "subset"):
+        if getattr(args, key) is not None:
+            params[key] = getattr(args, key)
+    if args.pi is not None:
+        params["base"] = _parse_partial(args.pi)
     # an order over the budget or too large to tabulate is reported on
     # stderr and the remaining orders still run, as in count and fit
     all_ok = True
@@ -316,25 +284,18 @@ def cmd_verify(args) -> int:
     for q in qs:
         try:
             make_field(q)  # an order above 256 has no field: this row fails
-            if name in BOOL_IDENTITIES:
-                ok = check(g, q)
-                row = {"q": q, "ok": ok}
-                line = f"identity={name} q={q} {'PASS' if ok else 'FAIL'}"
-            else:
-                report = incidence.verify_identity(name, params, q)
-                ok = report.equal
-                row = {"q": q, "lhs": report.lhs, "rhs": report.rhs, "ok": ok}
-                line = (
-                    f"identity={name} q={q} lhs={report.lhs} rhs={report.rhs} "
-                    f"{'PASS' if ok else 'FAIL'}"
-                )
+            report = incidence.verify_identity(name, params, q)
         except (BudgetExceeded, TooLarge) as exc:
             print(f"q={q}: {exc}", file=sys.stderr)
             all_ok = False
             continue
+        row, sides = {"q": q, "ok": report.equal}, ""
+        if report.lhs is not None:
+            row.update(lhs=report.lhs, rhs=report.rhs)
+            sides = f" lhs={report.lhs} rhs={report.rhs}"
         rows.append(row)
-        print(line)
-        all_ok = all_ok and ok
+        print(f"identity={name} q={q}{sides} {'PASS' if report.equal else 'FAIL'}")
+        all_ok = all_ok and report.equal
     if args.format == "json":
         print(json.dumps({"identity": name, "rows": rows}, sort_keys=True))
     return 0 if all_ok else 1
@@ -352,7 +313,7 @@ def cmd_fit(args) -> int:
     if isinstance(result, IntPoly):
         fitted = {q: result.evaluate(q) for q in table.qs()}
     if args.format == "json":
-        doc = {"table": json.loads(table.to_json())}
+        doc = {"table": table.to_dict()}
         if isinstance(result, IntPoly):
             doc["fit"] = {"coeffs": list(result.coeffs)}
         else:
@@ -381,9 +342,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    table = matroids.fano_demo(list(COUNTEREXAMPLE_QS))
-    odd_zero = all(table.counts[q] == 0 for q in (3, 5, 7, 9))
-    even_pos = all(table.counts[q] > 0 for q in (2, 4, 8))
+    table = matroids.fano_demo(matroids.FANO_DEMO_QS)
+    odd_zero = all(table.counts[q] == 0 for q in table.qs() if q % 2)
+    even_pos = all(table.counts[q] > 0 for q in table.qs() if q % 2 == 0)
     result = fit_polynomial(table, max_deg=5)
     not_poly = isinstance(result, NoFit)
 

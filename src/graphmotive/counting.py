@@ -738,12 +738,9 @@ class CountTable:
     label: str
     counts: dict[int, int]
 
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(
-            {"label": self.label, "counts": {str(k): v for k, v in self.counts.items()}}
-        )
+    def to_dict(self) -> dict:
+        """The table as JSON-ready data: label, and counts keyed by str(q)."""
+        return {"label": self.label, "counts": {str(k): v for k, v in self.counts.items()}}
 
     def qs(self) -> list[int]:
         return sorted(self.counts)

@@ -40,16 +40,19 @@ class LengthMismatch(GraphMotiveError):
 
 
 class BudgetExceeded(GraphMotiveError):
-    """Enumeration would exceed the configured evaluation cap."""
+    """Enumeration would exceed the configured evaluation cap: it needs
+    `required` evaluations or, when that is None, at least 2^`log2`."""
 
-    def __init__(self, required: int, limit: int, what: str = "enumeration"):
+    def __init__(self, required, limit: int, what: str = "enumeration", log2=None):
         self.required = required
         self.budget = limit
         self.what = what
-        try:
-            needs = str(required)
-        except ValueError:  # over the interpreter's int-to-str digit limit
-            needs = f"at least 2^{required.bit_length() - 1}"
+        needs = f"at least 2^{log2}"
+        if required is not None:
+            try:
+                needs = str(required)
+            except ValueError:  # over the interpreter's int-to-str digit limit
+                needs = f"at least 2^{required.bit_length() - 1}"
         super().__init__(f"{what} needs {needs} evaluations, budget is {limit}")
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
+from . import counting
 from .counting import (
     _edge_pairs,
     _scan,
@@ -23,12 +24,15 @@ from .counting import (
     count_symmetric_rank,
     stats,
 )
-from .errors import BadParams, NotAForest
+from .errors import BadParams, BudgetExceeded, NotAForest
 from .ffield import make_field, rank_from_index_rows
 from .graphs import Graph, indices_from_mask
 from .matroids import Matroid, PartialRank, count_X
 
 _F_CHUNK = 1 << 15
+
+# the most bits of a power P^n built to compare a scan with the budget
+_EXACT_BITS = 1 << 20
 
 # ---------------------------------------------------------------------------
 # symmetric forms up to congruence
@@ -140,11 +144,20 @@ def _unsatisfiable(s: int, constraints) -> bool:
     return s >= 0 and any(need > min(s, mask.bit_count()) for mask, need in constraints)
 
 
-def _scan_shape(s: int, q: int, rank: int):
-    """(P, classes) of _count's scan, charged P^n times the classes for n
-    vertices: P = 1 + (q^s - 1)/(q - 1) values a vertex takes, zero or a point."""
+def _check_scan(n: int, s: int, q: int, rank: int):
+    """(P, classes) of _count's scan of n vertices, once its P^n maps times
+    the classes are checked against the budget: P = 1 + (q^s - 1)/(q - 1)
+    values a vertex takes, zero or a point.  A P^n of over _EXACT_BITS bits
+    is not built when its lower bound 2^(n floor(log2 P) + floor(log2
+    classes)) is past the budget: that bound is refused instead."""
     classes = _classes(s, q, rank)
-    return 1 + (q**s - 1) // (q - 1), classes
+    points = 1 + (q**s - 1) // (q - 1)
+    if n * points.bit_length() > _EXACT_BITS:
+        log2 = n * (points.bit_length() - 1) + len(classes).bit_length() - 1
+        if log2 >= stats.budget.bit_length():
+            raise BudgetExceeded(None, stats.budget, "incidence scan", log2=log2)
+    stats.check(points**n * len(classes), "incidence scan")
+    return points, classes
 
 
 def _count(g: Graph, s: int, q: int, rank: int, constraints) -> int:
@@ -179,9 +192,8 @@ def _count(g: Graph, s: int, q: int, rank: int, constraints) -> int:
         raise BadParams(f"ambient dimension must be nonnegative, got {s}")
     *others, (mask, need) = constraints or ((0, 0),)
     others = tuple(sorted(others))
-    points, classes = _scan_shape(s, q, rank)
     # refused before the memo key and the edge pairs, which sort every edge
-    stats.check(points**g.n * len(classes), "incidence scan")
+    points, classes = _check_scan(g.n, s, q, rank)
 
     def compute():
         import numpy as np
@@ -229,8 +241,10 @@ def count_A(g: Graph, s: int, r: int, k: int, q: int) -> int:
     span dimension exactly k, every edge condition satisfied."""
     if s < 0 or r < 0 or k < 0:
         raise BadParams(f"parameters must be nonnegative, got s={s} r={r} k={k}")
-    if r > s:
+    if r > s or k > min(s, g.n):
         return 0
+    if g.n > _EXACT_BITS:  # a mask this long is built only once its scan passes
+        _check_scan(g.n, s, q, r)
     return _count(g, s, q, r, (((1 << g.n) - 1, k),))
 
 
@@ -346,13 +360,29 @@ def forest_J(forest: Graph, s: int, q: int) -> int:
 # identity verification
 
 
+# Every identity verify_identity checks, in gm verify's order, with the
+# input it reads: "graph" or "matroid".
+IDENTITIES = {
+    "firstred": "graph",
+    "secondred": "graph",
+    "cor-secondred": "graph",
+    "Dreduction": "graph",
+    "yuck": "graph",
+    "Jyuck": "graph",
+    "pi-strat": "graph",
+    "stanley-iso": "graph",
+    "free-vertex": "graph",
+    "signed-sums": "graph",
+    "grassmann-factor": "matroid",
+}
+
+
 @dataclass
 class IdentityReport:
     name: str
     q: int
-    params: dict
-    lhs: int
-    rhs: int
+    lhs: int | None
+    rhs: int | None
     equal: bool
 
     def __bool__(self) -> bool:
@@ -361,7 +391,9 @@ class IdentityReport:
 
 def verify_identity(name: str, params: dict, q: int) -> IdentityReport:
     """Evaluate both sides of a named counting identity by enumeration plus
-    closed-form factors and report the comparison.
+    closed-form factors and report the comparison.  The structural checks
+    stanley-iso, free-vertex and signed-sums compare inside counting and
+    report only the verdict, with lhs = rhs = None.
 
     The reductions' right-hand sides open with a Grassmannian factor that
     vanishes when r or k exceeds s; the rest is then left unevaluated, since
@@ -373,6 +405,10 @@ def verify_identity(name: str, params: dict, q: int) -> IdentityReport:
         if missing:
             raise BadParams(f"identity {name!r} needs parameters {missing}")
         return [p[k] for k in keys]
+
+    def checked(verify):  # a structural check: its verdict, no sides
+        (g,) = need("graph")
+        return IdentityReport(name, q, None, None, verify(g, q))
 
     if name == "firstred":
         g, s, r, k = need("graph", "s", "r", "k")
@@ -438,18 +474,18 @@ def verify_identity(name: str, params: dict, q: int) -> IdentityReport:
         lhs = count_J(g.add_disjoint_vertex(), s, q)
         rhs = q**s * count_J(g, s, q)
     elif name == "pi-strat":
-        g, s, t, subset = need("graph", "s", "t", "subset")
+        g, s, subset = need("graph", "s", "subset")
+        t = p.get("t", 1)
         base: PartialRank = p.get("base") or PartialRank(g.n, ())
         if any(mask == subset for mask, _ in base.pairs):
             raise BadParams("base requirements already constrain the subset")
-        if not 0 <= subset < (1 << g.n):
+        if subset < 0 or subset >> g.n:
             raise BadParams(f"vertex subset mask {subset} out of range")
         if t < 0:
             raise BadParams(f"number of new vertices must be nonnegative, got {t}")
         if s >= 0 and not _unsatisfiable(s, base.pairs):
             # the left side scans n + t vertices: refuse before building them
-            points, classes = _scan_shape(s, q, s)
-            stats.check(points ** (g.n + t) * len(classes), "incidence scan")
+            _check_scan(g.n + t, s, q, s)
         # t new vertices, each joined to every vertex of the subset
         hooks = indices_from_mask(subset)
         new_edges = tuple((h, g.n + j) for j in range(t) for h in hooks)
@@ -465,8 +501,13 @@ def verify_identity(name: str, params: dict, q: int) -> IdentityReport:
         matroid, s = need("matroid", "s")
         lhs = count_X(matroid, s, q)
         rhs = count_subspaces(matroid.rank, s, q) * count_X(matroid, matroid.rank, q)
+    # each check is looked up on counting per call, so a replaced one runs
+    elif name == "stanley-iso":
+        return checked(counting.verify_apex_support_iso)
+    elif name == "free-vertex":
+        return checked(counting.verify_free_vertex_extension)
+    elif name == "signed-sums":
+        return checked(counting.verify_contract_delete_sums)
     else:
         raise BadParams(f"unknown identity {name!r}")
-    return IdentityReport(
-        name=name, q=q, params=params, lhs=lhs, rhs=rhs, equal=lhs == rhs
-    )
+    return IdentityReport(name, q, lhs, rhs, lhs == rhs)

@@ -76,7 +76,7 @@ class PartialRank:
             raise BadParams(f"ground set size must be nonnegative, got {self.ground}")
         seen = set()
         for mask, need in self.pairs:
-            if not 0 <= mask < (1 << self.ground):
+            if mask < 0 or mask >> self.ground:
                 raise BadParams(f"subset mask {mask} out of range")
             if need < 0:
                 raise BadParams(f"required dimension must be nonnegative, got {need}")
@@ -485,11 +485,15 @@ def count_X_oracle(matroid: Matroid, s: int | None = None, q: int = 2) -> int:
         stats.evaluations += visited
 
 
+# the field orders of the counterexample: every prime power up to 9
+FANO_DEMO_QS = (2, 3, 4, 5, 7, 8, 9)
+
+
 def fano_demo(q_list) -> CountTable:
-    """Representation counts of the seven-point plane over each field."""
-    allowed = {2, 3, 4, 5, 7, 8, 9}
+    """Representation counts of the seven-point plane over each field of
+    FANO_DEMO_QS asked for."""
     qs = list(q_list)
-    bad = [q for q in qs if q not in allowed]
+    bad = [q for q in qs if q not in FANO_DEMO_QS]
     if bad:
         raise BadParams(f"field orders outside the demo range: {bad}")
     M = fano()

@@ -214,8 +214,20 @@ def symbolic_det(rows: list[list[MultilinearPoly]], nvars: int) -> MultilinearPo
 
 
 def matrix_tree_check(g: Graph) -> bool:
-    """det of the reduced Laplacian == spanning-tree polynomial, symbolically."""
-    return symbolic_det(reduced_laplacian(g), g.m) == spanning_tree_poly(g)
+    """det of the reduced Laplacian == spanning-tree polynomial, symbolically.
+    The determinant's cap is checked first, then the (n - 1)-subsets of the
+    non-loop edges that the tree listing tries are checked, not charged,
+    against the budget, and only then are the trees and the Laplacian built."""
+    from math import comb
+
+    from .counting import stats  # counting imports this module
+
+    if g.n - 1 > DET_LIMIT:
+        raise TooLarge(f"symbolic determinant capped at dimension {DET_LIMIT}")
+    candidates = sum(u != v for u, v in g.edges)
+    stats.check(comb(candidates, max(g.n - 1, 0)), "spanning tree enumeration")
+    trees = spanning_tree_poly(g)
+    return symbolic_det(reduced_laplacian(g), g.m) == trees
 
 
 def duality_check(g: Graph) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -31,9 +32,14 @@ def _isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("GRAPHMOTIVE_CACHE", str(tmp_path / "cache"))
 
 
+def _cap_memory():
+    limit = 4 << 30  # address space, so a huge allocation fails at once
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
 def run_gm(*argv: str) -> subprocess.CompletedProcess:
-    """gm argv in a fresh interpreter, killed after 60 s; each input run
-    this way finishes in well under a second."""
+    """gm argv in a fresh interpreter with 4 GiB of address space, killed
+    after 60 s; each input run this way finishes in well under a second."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "graphmotive.cli", *argv],
@@ -41,6 +47,7 @@ def run_gm(*argv: str) -> subprocess.CompletedProcess:
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=60,
+        preexec_fn=_cap_memory,
     )
 
 
@@ -78,7 +85,10 @@ def test_poly_refuses_at_the_determinant_cap_before_listing_trees(
     monkeypatch, capsys
 ):
     # K10's reduced Laplacian is 9 x 9, over the cap; listing its trees
-    # first walks C(45, 9) ~ 8.9 * 10^8 edge subsets
+    # first walks C(45, 9) ~ 8.9 * 10^8 edge subsets.  D2000's would be
+    # 1999 x 1999 polynomials, refused before it is built.  K8 is within
+    # the cap, but its 28 edges have C(28, 7) = 1184040 7-subsets for the
+    # listing to try, refused by the budget
     calls = []
 
     def spanning_trees(self):
@@ -86,10 +96,19 @@ def test_poly_refuses_at_the_determinant_cap_before_listing_trees(
         return []
 
     monkeypatch.setattr(graphs.Graph, "spanning_trees", spanning_trees)
-    code = main(["poly", "--name", "K10"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err == "error: symbolic determinant capped at dimension 8\n"
+    capped = "error: symbolic determinant capped at dimension 8\n"
+    for argv, err in (
+        (["--name", "K10"], capped),
+        (["--name", "D2000"], capped),
+        (["--name", "K8", "--budget", "1000"],
+         "error: spanning tree enumeration needs 1184040 evaluations, "
+         "budget is 1000\n"),
+    ):
+        start = time.monotonic()
+        code = main(["poly", *argv])
+        assert time.monotonic() - start < 1, argv
+        assert code == 1, argv
+        assert capsys.readouterr() == ("", err), argv
     assert calls == []
 
 
@@ -276,11 +295,15 @@ def test_incidence_scan_is_budgeted():
     assert time.monotonic() - start < 2
 
 
-def test_huge_scans_are_refused_in_one_line_before_any_build():
+def test_huge_scans_are_refused_in_one_line_before_any_build(tmp_path):
     # a requirement past the interpreter's 4300-digit int-to-str limit is
     # stated as a power of two; XM above the rank is refused before its
     # search plan is built, and pi-strat before its extended graph of
-    # 10^6 + 3 vertices
+    # 10^6 + 3 vertices.  At 10^12 vertices no vertex mask and no power
+    # P^n is built: the refusal states a lower bound (P = 2 at s = 1)
+    n = 10**12
+    huge = tmp_path / "huge.txt"
+    huge.write_text(f"{n} 0\n")
     for argv, needs in (
         (("count", "--kind", "L", "--pi", "3:", "--s", "5000"),
          "incidence scan needs at least 2^15000"),
@@ -289,12 +312,24 @@ def test_huge_scans_are_refused_in_one_line_before_any_build():
          "incidence scan needs at least 2^1000003"),
         (("count", "--kind", "XM", "--matroid", "U3,5", "--s", "120"),
          "representation scan needs 100000001"),
+        (("count", "--kind", "L", "--pi", f"{n}:1=1", "--s", "1"),
+         f"incidence scan needs at least 2^{n}"),
+        (("count", "--kind", "L", "--pi", f"{n}:", "--s", "1"),
+         f"incidence scan needs at least 2^{n}"),
+        (("count", "--kind", "J", "--graph", str(huge), "--s", "1"),
+         f"incidence scan needs at least 2^{n}"),
+        (("count", "--kind", "A", "--graph", str(huge), "--s", "1", "--r", "1",
+          "--k", "1"),
+         f"incidence scan needs at least 2^{n}"),
+        (("verify", "--identity", "pi-strat", "--graph", str(huge), "--s", "1",
+          "--subset", "1"),
+         f"incidence scan needs at least 2^{n + 1}"),
     ):
         start = time.monotonic()
         out = run_gm(*argv, "--q", "2")
-        assert time.monotonic() - start < 2
-        assert out.returncode == 1
-        assert out.stderr == f"q=2: {needs} evaluations, budget is 100000000\n"
+        assert time.monotonic() - start < 2, argv
+        assert out.returncode == 1, argv
+        assert out.stderr == f"q=2: {needs} evaluations, budget is 100000000\n", argv
 
 
 def test_pi_strat_over_the_budget_answers_an_unsatisfiable_base(capsys):
@@ -452,6 +487,40 @@ def test_verify_boolean_identity_and_json(capsys):
     assert text_line == "identity=signed-sums q=2 PASS"
     doc = json.loads(json_line)
     assert doc == {"identity": "signed-sums", "rows": [{"q": 2, "ok": True}]}
+
+
+def test_unknown_identity_lists_the_identity_table(capsys):
+    assert main(["verify", "--identity", "nonsense", "--name", "C3", "--q", "2"]) == 2
+    names = (
+        "firstred, secondred, cor-secondred, Dreduction, yuck, Jyuck, pi-strat, "
+        "stanley-iso, free-vertex, signed-sums, grassmann-factor"
+    )
+    assert names == ", ".join(incidence.IDENTITIES)
+    assert capsys.readouterr() == (
+        "", f"error: unknown identity 'nonsense'; choose from {names}\n"
+    )
+
+
+def test_verify_options_are_read_by_the_identity(capsys):
+    # a missing option is named by verify_identity, --t defaults to 1 there,
+    # and --pi is parsed whenever it is given: each error is one line, exit 2
+    for argv, err in (
+        (["--identity", "pi-strat", "--name", "P3", "--s", "1"],
+         "error: identity 'pi-strat' needs parameters ['subset']\n"),
+        (["--identity", "grassmann-factor", "--matroid", "U1,2"],
+         "error: identity 'grassmann-factor' needs parameters ['s']\n"),
+        (["--identity", "Jyuck", "--name", "P3", "--s", "1", "--pi", "bogus"],
+         "error: span constraints need 'ground:...', got 'bogus'\n"),
+    ):
+        assert main(["verify", *argv, "--q", "2"]) == 2, argv
+        assert capsys.readouterr() == ("", err), argv
+    pi_strat = ["verify", "--identity", "pi-strat", "--name", "P3", "--s", "2",
+                "--subset", "5", "--q", "2,3"]
+    assert main(pi_strat) == 0
+    default = capsys.readouterr().out
+    assert main([*pi_strat, "--t", "1"]) == 0
+    assert capsys.readouterr().out == default
+    assert default.startswith("identity=pi-strat q=2 lhs=")
 
 
 def test_verify_matroid_identity(capsys):

@@ -570,6 +570,29 @@ def test_tables_are_built_once_and_only_within_the_charge(monkeypatch):
     assert misses() == (1, 1, 1)
 
 
+def test_scans_past_the_exact_bits_are_refused_by_a_lower_bound():
+    # P = 5 values per vertex and 2 classes of invertible forms at s = 2,
+    # q = 3.  The need is exact while P^n is small; past _EXACT_BITS only
+    # its lower bound 2^(n floor(log2 5) + floor(log2 2)) is stated, with
+    # no power built (5^n * 2 itself is about 2^(2.32 n + 1))
+    stats.reset(249)
+    with pytest.raises(BudgetExceeded) as info:
+        count_J(discrete(3), 2, 3)
+    assert str(info.value) == "incidence scan needs 250 evaluations, budget is 249"
+    n = incidence._EXACT_BITS
+    stats.reset()
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as info:
+        count_J(Graph(n, ()), 2, 3)
+    assert time.perf_counter() - start < 0.1
+    assert info.value.required is None
+    assert str(info.value) == (
+        f"incidence scan needs at least 2^{2 * n + 1} evaluations, "
+        "budget is 100000000"
+    )
+    assert stats.evaluations == 0
+
+
 def test_incidence_counts_build_no_form_census(monkeypatch):
     # every incidence count scans class representatives: none of them
     # lists the q^(s(s+1)/2) symmetric forms
@@ -632,17 +655,45 @@ IDENTITY_SMOKE = [
     ("grassmann-factor", {"matroid": uniform(1, 2), "s": 2}, (2, 3)),
     ("grassmann-factor", {"matroid": uniform(2, 3), "s": 3}, (2, 3)),
     ("grassmann-factor", {"matroid": fano(), "s": 3}, (2, 3)),
+    ("stanley-iso", {"graph": cycle(3)}, (2, 3)),
+    ("stanley-iso", {"graph": path(3)}, (2, 3)),
+    ("free-vertex", {"graph": cycle(3)}, (2, 3)),
+    ("free-vertex", {"graph": star(3)}, (2,)),
+    ("signed-sums", {"graph": cycle(3)}, (2, 3)),
+    ("signed-sums", {"graph": complete(4)}, (2,)),
 ]
+
+# the structural checks report a verdict and no sides
+VERDICT_ONLY = {"stanley-iso", "free-vertex", "signed-sums"}
 
 
 def test_identity_reports():
+    # the smoke list covers every identity of the table, and no other name
+    assert {name for name, _, _ in IDENTITY_SMOKE} == set(incidence.IDENTITIES)
     for name, params, q_list in IDENTITY_SMOKE:
+        assert incidence.IDENTITIES[name] in params, name  # the input it reads
         for q in q_list:
             rep = verify_identity(name, params, q)
             assert rep.equal, (name, params, q, rep.lhs, rep.rhs)
             assert bool(rep)
             assert rep.lhs == rep.rhs
+            assert (rep.lhs is None) == (name in VERDICT_ONLY), name
             assert rep.name == name and rep.q == q
+
+
+def test_identity_checks_are_looked_up_per_call(monkeypatch):
+    # a structural check replaced after import is the one that runs, and
+    # its verdict is the report's
+    seen = []
+
+    def failing(g, q):
+        seen.append((g, q))
+        return False
+
+    monkeypatch.setattr(counting, "verify_free_vertex_extension", failing)
+    rep = verify_identity("free-vertex", {"graph": path(3)}, 3)
+    assert not rep and (rep.lhs, rep.rhs) == (None, None)
+    assert seen == [(path(3), 3)]
 
 
 def test_pi_strat_histograms_the_subset_it_varies(monkeypatch):
@@ -676,3 +727,5 @@ def test_identity_errors():
         verify_identity("firstred", {"graph": cycle(3), "s": 2}, 2)  # missing r, k
     with pytest.raises(BadParams):
         verify_identity("yuck", {"graph": complete(2), "r": 4}, 2)  # r > n+1
+    with pytest.raises(BadParams, match=r"needs parameters \['graph'\]"):
+        verify_identity("signed-sums", {}, 2)

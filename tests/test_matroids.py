@@ -157,6 +157,8 @@ def test_partial_rank_validation():
     with pytest.raises(BadParams):
         PartialRank(2, ((0b100, 1),))  # mask out of range
     with pytest.raises(BadParams):
+        PartialRank(2, ((-1, 1),))
+    with pytest.raises(BadParams):
         PartialRank(2, ((0b01, -1),))
     with pytest.raises(BadParams):
         PartialRank(2, ((0b01, 1), (0b01, 1)))  # duplicate mask
