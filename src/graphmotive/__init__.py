@@ -62,10 +62,8 @@ from .counting import (
     count_tree_support,
     count_zeros,
     extension_support,
-    rank_census,
     stats,
     strata_counts,
-    symmetric_extension_census,
     symmetric_rank_census,
     verify_apex_support_iso,
     verify_contract_delete_sums,

@@ -309,29 +309,54 @@ def verify_contract_delete_sums(g: Graph, q: int) -> bool:
     (deleted) and forest subsets A of the remainder (contracted), signed by
     |A|, of tree-complement counts; equals the tree-support count.  Both
     range over the same pairs, since A is a forest of G - B iff of G, and
-    G - B / A is G / A - B: one enumeration, memoized for the run, lists
-    each labeled minor once with its sums of (-1)^|B| and of (-1)^|A|.  It
-    is charged one unit per (A, B) pair, sum over forests A of 2^(m - |A|),
-    before any pair is built: K5 has 39 744 pairs and K6 6 459 392, inside
-    the default budget.
+    G - B / A is G / A - B.
+
+    The minors come from one pass over the edges, memoized for the run.  A
+    state is the vertex partition A makes, each vertex named by its block's
+    least vertex, with the sorted block pairs of the kept edges, and it
+    carries its sums of (-1)^|B| and of (-1)^|A|.  Each edge is kept (its
+    block pair joins the state), deleted (the B sum changes sign) or, when
+    it joins two blocks, contracted (they merge and the A sum changes sign):
+    joining two blocks is exactly "A stays a forest".  Equal states merge.
+    Before each edge 3 units per state are charged, so the budget bounds a
+    level before it is built.  No sum cancels: every (A, B) reaching a
+    state has |A| = n - blocks and |B| = edges so far - |A| - kept.  The
+    final states, blocks renamed 0..k-1, are grouped by Graph.iso_key, and
+    each class counts once, on the graph its key names.
     """
     m = g.m
     if m > 16:
         raise TooLarge(f"signed sums capped at 16 edges, got {m}")
 
     def signed_minors():
-        forests = [a for a in range(1 << m) if g.subset_is_forest(a)]
-        pairs = sum(1 << (m - a.bit_count()) for a in forests)
-        stats.charge(pairs, "signed minor enumeration")
-        found = {}
-        for a in forests:
-            contracted = g.contract(a)
-            for b in range(1 << contracted.m):
-                minor = contracted.delete_edges(b)
-                _, by_b, by_a = found.get(key := minor.key(), (minor, 0, 0))
-                signs = (-1) ** b.bit_count(), (-1) ** a.bit_count()
-                found[key] = (minor, by_b + signs[0], by_a + signs[1])
-        return found.values()
+        def tally(table, key, by_b, by_a):
+            sums = table.setdefault(key, [0, 0])
+            sums[0] += by_b
+            sums[1] += by_a
+
+        states = {(tuple(range(g.n)), ()): (1, 1)}
+        for u, v in g.edges:
+            stats.charge(3 * len(states), "signed minor recursion")
+            level = {}
+            for (blocks, kept), (by_b, by_a) in states.items():
+                lo, hi = sorted((blocks[u], blocks[v]))
+                tally(level, (blocks, tuple(sorted(kept + ((lo, hi),)))), by_b, by_a)
+                tally(level, (blocks, kept), -by_b, by_a)
+                if lo != hi:
+                    merged = tuple(lo if b == hi else b for b in blocks)
+                    pairs = (tuple(merged[w] for w in pair) for pair in kept)
+                    joined = tuple(sorted((min(pair), max(pair)) for pair in pairs))
+                    tally(level, (merged, joined), by_b, -by_a)
+            states = level
+        minors, classes = {}, {}
+        for (blocks, kept), (by_b, by_a) in states.items():
+            name = {b: i for i, b in enumerate(sorted(set(blocks)))}
+            # renaming the blocks in order keeps the pairs sorted: a key()
+            edges = tuple((name[a], name[b]) for a, b in kept)
+            tally(minors, (len(name), edges), by_b, by_a)
+        for (n, edges), (by_b, by_a) in minors.items():
+            tally(classes, Graph(n, edges).iso_key(), by_b, by_a)
+        return [(Graph(*key), by_b, by_a) for key, (by_b, by_a) in classes.items()]
 
     first = second = 0
     minors = stats.memoized(("signed minors", g.key()), signed_minors)
@@ -585,6 +610,8 @@ def count_subspaces(k: int, n: int, q: int) -> int:
     (either dimension negative, or k above n)."""
     if k < 0 or n < 0 or k > n:
         return 0
+    if k in (0, n):
+        return 1
     num = count_invertible(n, q)
     den = count_invertible(k, q) * count_invertible(n - k, q) * q ** (k * (n - k))
     assert num % den == 0
@@ -663,68 +690,6 @@ def _extensions_cached(d2: int, r2: int, d1: int, r1: int, q: int) -> int:
             for j in range(3)
         ),
     )
-
-
-def symmetric_extension_census(
-    d2: int,
-    d1: int,
-    r1: int,
-    q: int,
-    base_rows: list[list[int]] | None = None,
-) -> dict[int, int]:
-    """Exhaustive rank histogram of all symmetric d2 x d2 extensions of a
-    fixed symmetric d1 x d1 base of rank r1 (entries as field indices).
-
-    With no base given, the diagonal matrix with r1 unit entries is used.
-    """
-    if not (0 <= r1 <= d1 <= d2):
-        raise BadArgs(f"need 0 <= r1 <= d1 <= d2, got ({r1}, {d1}, {d2})")
-    field = make_field(q)
-    if base_rows is None:
-        base_rows = [
-            [1 if (i == j and i < r1) else 0 for j in range(d1)]
-            for i in range(d1)
-        ]
-    else:
-        for i in range(d1):
-            for j in range(d1):
-                if base_rows[i][j] != base_rows[j][i]:
-                    raise BadArgs("base block must be symmetric")
-    if rank_from_index_rows(field, [row[:] for row in base_rows]) != r1:
-        raise BadArgs("base block does not have the stated rank")
-
-    new_cells = [(i, j) for j in range(d1, d2) for i in range(j + 1)]
-    stats.charge(q ** len(new_cells), "extension census")
-    counts: dict[int, int] = {}
-    for assignment in product(range(q), repeat=len(new_cells)):
-        rows = [[0] * d2 for _ in range(d2)]
-        for i in range(d1):
-            for j in range(d1):
-                rows[i][j] = base_rows[i][j]
-        for pos, (i, j) in enumerate(new_cells):
-            rows[i][j] = assignment[pos]
-            rows[j][i] = assignment[pos]
-        r = rank_from_index_rows(field, rows)
-        counts[r] = counts.get(r, 0) + 1
-    return counts
-
-
-# ---------------------------------------------------------------------------
-# matrix rank census (oracle for the closed forms)
-
-
-def rank_census(e: int, f: int, q: int) -> dict[int, int]:
-    """Rank histogram of all e x f matrices over F_q by enumeration."""
-    if e < 0 or f < 0:
-        raise BadArgs(f"shape must be nonnegative, got ({e}, {f})")
-    field = make_field(q)
-    stats.charge(q ** (e * f), "matrix rank census")
-    counts: dict[int, int] = {}
-    for assignment in product(range(q), repeat=e * f):
-        rows = [list(assignment[i * f : (i + 1) * f]) for i in range(e)]
-        r = rank_from_index_rows(field, rows)
-        counts[r] = counts.get(r, 0) + 1
-    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ the highest index.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,6 +60,38 @@ class _UnionFind:
         return True
 
 
+def _least_relabeling(n: int, edges) -> tuple | None:
+    """The least sorted edge list over the vertex orderings that put the
+    vertices in cells by colour, (degree with loops counted, sorted degrees
+    of the neighbours), and order each cell freely (colour refinement,
+    McKay and Piperno, Practical graph isomorphism II, 2014); None past 6!
+    orderings."""
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    colour = [(len(ws), sorted(len(nbrs[w]) for w in ws)) for ws in nbrs]
+    cells = []
+    for v in sorted(range(n), key=colour.__getitem__):
+        if cells and colour[cells[-1][0]] == colour[v]:
+            cells[-1].append(v)
+        else:
+            cells.append([v])
+    if math.prod(math.factorial(len(c)) for c in cells) > 720:
+        return None
+    best = None
+    for order in itertools.product(*map(itertools.permutations, cells)):
+        pos = [0] * n
+        for i, v in enumerate(itertools.chain(*order)):
+            pos[v] = i
+        relabeled = sorted(
+            (pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in edges
+        )
+        if best is None or relabeled < best:
+            best = relabeled
+    return tuple(best)
+
+
 @dataclass(frozen=True)
 class Graph:
     n: int
@@ -97,6 +130,34 @@ class Graph:
     def key(self) -> tuple:
         """Hashable label-sensitive key; edge order does not matter."""
         return (self.n, self.edge_pairs_sorted())
+
+    def iso_key(self) -> tuple:
+        """A key of the form of key() that isomorphic graphs share: each
+        connected component gets _least_relabeling's key, and the
+        components, in sorted order, take consecutive labels.  Past 6!
+        orderings of one component the key is key() itself.  Each key is a
+        relabeling of the graph, so equal keys mean isomorphic graphs."""
+        uf = _UnionFind(self.n)
+        for u, v in self.edges:
+            uf.union(u, v)
+        members, edges_of = {}, {}
+        for v in range(self.n):
+            members.setdefault(uf.find(v), []).append(v)
+        for u, v in self.edges:
+            edges_of.setdefault(uf.find(u), []).append((u, v))
+        parts = []
+        for root, vs in members.items():
+            local = {v: i for i, v in enumerate(vs)}
+            edges = [(local[u], local[v]) for u, v in edges_of.get(root, ())]
+            part = _least_relabeling(len(vs), edges)
+            if part is None:
+                return self.key()
+            parts.append((len(vs), part))
+        edges, offset = [], 0
+        for n, part in sorted(parts):
+            edges += [(u + offset, v + offset) for u, v in part]
+            offset += n
+        return (self.n, tuple(edges))
 
     def betti(self) -> tuple[int, int]:
         """(b0, b1): component count and independent cycle count."""
@@ -158,9 +219,6 @@ class Graph:
                         if low[v] > order[parent]:
                             found.append(entered)
         return mask_from_indices(found)
-
-    def subset_is_forest(self, mask: EdgeSubset) -> bool:
-        return self.subset_betti(mask)[1] == 0
 
     # -- spanning trees --------------------------------------------------
 

@@ -19,6 +19,7 @@ from .counting import (
     _edge_pairs,
     _scan,
     count_invertible,
+    count_rank_maps,
     count_subspaces,
     count_symmetric_extensions,
     count_symmetric_rank,
@@ -147,23 +148,44 @@ def _unsatisfiable(s: int, constraints) -> bool:
 def _check_scan(n: int, s: int, q: int, rank: int):
     """(P, classes) of _count's scan of n vertices, once its P^n maps times
     the classes are checked against the budget: P = 1 + (q^s - 1)/(q - 1)
-    values a vertex takes, zero or a point.  A P^n of over _EXACT_BITS bits
-    is not built when its lower bound 2^(n floor(log2 P) + floor(log2
-    classes)) is past the budget: that bound is refused instead."""
-    classes = _classes(s, q, rank)
-    points = 1 + (q**s - 1) // (q - 1)
-    if n * points.bit_length() > _EXACT_BITS:
-        log2 = n * (points.bit_length() - 1) + len(classes).bit_length() - 1
+    values a vertex takes, zero or a point.  When P^n would have over
+    _EXACT_BITS bits, or q^s would, neither is built, nor the classes: the
+    lower bound 2^(n floor(log2 P) + floor(log2 classes)) is refused if it
+    is past the budget, with floor(log2 P) >= (s - 1) floor(log2 q) when q^s
+    is that long.  _classes lists two classes but at rank 0 and at odd
+    ranks in even characteristic."""
+    wide = s * q.bit_length() > _EXACT_BITS
+    points = None if wide else 1 + (q**s - 1) // (q - 1)
+    if wide or n * points.bit_length() > _EXACT_BITS:
+        # P > q^(s - 1) when q^s is not built
+        log2_points = (s - 1) * (q.bit_length() - 1) if wide else points.bit_length() - 1
+        two_classes = rank > 0 and (q % 2 == 1 or rank % 2 == 0)
+        log2 = n * log2_points + two_classes
         if log2 >= stats.budget.bit_length():
             raise BudgetExceeded(None, stats.budget, "incidence scan", log2=log2)
+    classes = _classes(s, q, rank)
+    if points is None:  # no vertex: the bound refuses every other wide scan
+        points = 1 + (q**s - 1) // (q - 1)
     stats.check(points**n * len(classes), "incidence scan")
     return points, classes
+
+
+def _zero_form(g: Graph, s: int, q: int, size: int, need: int) -> int:
+    """(Q, f) pairs with Q = 0, the one form of rank 0, and a map whose
+    vectors on a mask of `size` vertices span `need` dimensions.  Every edge
+    condition holds, so the count is the s x size matrices of rank need
+    times q^s per vertex off the mask, with no scan and no charge, once the
+    scan it replaces is checked and g is checked simple."""
+    _check_scan(g.n, s, q, 0)
+    _edge_pairs(g)
+    return count_rank_maps(s, size, need, q) * q ** (s * (g.n - size))
 
 
 def _count(g: Graph, s: int, q: int, rank: int, constraints) -> int:
     """(Q, f) pairs with Q of the given rank whose map meets every (vertex
     mask, span dimension) requirement.  An unsatisfiable requirement gives
-    zero with no scan; a negative s is rejected.
+    zero with no scan; a negative s is rejected.  Rank 0 with at most one
+    requirement is _zero_form's closed form.
 
     The scan takes one form per congruence class of the rank and one point
     of P^(s-1), or the zero vector, per vertex.  Q -> A^T Q A, f -> A^-1 f
@@ -191,6 +213,8 @@ def _count(g: Graph, s: int, q: int, rank: int, constraints) -> int:
     if s < 0:
         raise BadParams(f"ambient dimension must be nonnegative, got {s}")
     *others, (mask, need) = constraints or ((0, 0),)
+    if rank == 0 and not others:
+        return _zero_form(g, s, q, mask.bit_count(), need)
     others = tuple(sorted(others))
     # refused before the memo key and the edge pairs, which sort every edge
     points, classes = _check_scan(g.n, s, q, rank)
@@ -243,6 +267,8 @@ def count_A(g: Graph, s: int, r: int, k: int, q: int) -> int:
         raise BadParams(f"parameters must be nonnegative, got s={s} r={r} k={k}")
     if r > s or k > min(s, g.n):
         return 0
+    if r == 0:
+        return _zero_form(g, s, q, g.n, k)
     if g.n > _EXACT_BITS:  # a mask this long is built only once its scan passes
         _check_scan(g.n, s, q, r)
     return _count(g, s, q, r, (((1 << g.n) - 1, k),))

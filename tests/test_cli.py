@@ -135,6 +135,11 @@ def test_count_rejects_multigraph_for_incidence_kinds(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "error:" in captured.err
+    # so is A at r = 0, a closed form with no scan
+    code = main(["count", "--kind", "A", "--graph", str(graph_file), "--q", "2",
+                 "--s", "1", "--r", "0", "--k", "1"])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
     # the scan's charge is read first: over the budget, the same graph is
     # refused for its size (P^n = 4 maps), which is no usage error
     code = main(
@@ -274,13 +279,24 @@ def test_tree_count_budget_sees_only_the_core(tmp_path, capsys):
 
 
 def test_signed_sums_charge_the_minor_enumeration(capsys):
-    # K5's 291 forests A each pair with every subset B of the other
-    # 10 - |A| edges: 39 744 (A, B) pairs, charged before any is built
+    # before each edge, 3 units per recursion state; the largest level is
+    # the last, the states of K5 less its last edge 34.  A state is a
+    # partition into blocks that its edges connect, with how many edges are
+    # kept inside each block (0..b1) and between each two blocks (0..all),
+    # so a partition has prod (b1 + 1) over blocks times prod (edges + 1)
+    # over block pairs states.  With 3 and 4 in one block B: B everything,
+    # 6; B of four (3 ways), 3·5; B of three (3 ways), the other two one
+    # block, 7, or apart, 4·4·2: 6 + 45 + 3·39 = 168.  With 3 in A and 4 in
+    # B (|A|·|B| edges between): no other block, 2·(4·4) + 6·(2·6) = 104;
+    # one vertex u alone (3 ways), 2·(2·3·4·2) + 2·(2·2·3·3) = 168; two
+    # alone (the third in A or B, 3 ways each), 2·(5·3 + 3·2·3·2·2) = 174;
+    # all three alone, 2·4·4 + 3·(3·3·2·2·3) + 2^6·2^3 = 868: 104 + 3·168 +
+    # 6·174 + 868 = 2520.  3·(168 + 2520) = 8064
     code = main(["verify", "--identity", "signed-sums", "--name", "K5",
-                 "--q", "2", "--budget", "39743"])
+                 "--q", "2", "--budget", "8063"])
     assert code == 1
     assert capsys.readouterr().err == (
-        "q=2: signed minor enumeration needs 39744 evaluations, budget is 39743\n"
+        "q=2: signed minor recursion needs 8064 evaluations, budget is 8063\n"
     )
 
 
@@ -332,6 +348,33 @@ def test_huge_scans_are_refused_in_one_line_before_any_build(tmp_path):
         assert out.stderr == f"q=2: {needs} evaluations, budget is 100000000\n", argv
 
 
+def test_huge_vertex_counts_end_in_one_line(tmp_path):
+    # H scans in ambient dimension n: q^n is not built, and P > 2^(n - 1)
+    # bounds the scan below by 2^(n (n - 1)).  At s = 0 the one form is
+    # Q = 0 and the one map is zero: count 1 in closed form, no scan
+    n = 10**12
+    huge = tmp_path / "huge.txt"
+    huge.write_text(f"{n} 0\n")
+    graph = ("--graph", str(huge))
+    for argv, stdout, stderr in (
+        (("--kind", "H", *graph, "--s", "1"), "",
+         f"q=2: incidence scan needs at least 2^{n * (n - 1)} evaluations, "
+         "budget is 100000000\n"),
+        (("--kind", "H", *graph, "--s", "0"), "",
+         f"q=2: incidence scan needs at least 2^{n * (n - 1)} evaluations, "
+         "budget is 100000000\n"),
+        (("--kind", "A", *graph, "--s", "0", "--r", "0", "--k", "0"), "q=2 count=1", ""),
+        (("--kind", "J", *graph, "--s", "0"), "q=2 count=1", ""),
+        (("--kind", "L", "--pi", f"{n}:", "--s", "0"), "q=2 count=1", ""),
+    ):
+        start = time.monotonic()
+        out = run_gm("count", *argv, "--q", "2")
+        assert time.monotonic() - start < 2, argv
+        assert out.returncode == (1 if stderr else 0), argv
+        assert out.stdout.splitlines()[1:] == ([stdout] if stdout else []), argv
+        assert out.stderr == stderr, argv
+
+
 def test_pi_strat_over_the_budget_answers_an_unsatisfiable_base(capsys):
     # P3 with 30 new vertices at s = 1 is a 2^33-map scan, but a base
     # requirement of span 2 on one vertex leaves nothing to scan: 0 = 0
@@ -357,10 +400,11 @@ def test_incidence_counts_never_list_the_forms():
 
 
 def test_incidence_counts_scan_only_the_rank_they_ask_for():
-    # yuck at r = 0 needs rank-0 forms alone: 2^16 maps of P3 plus a vertex
-    # into F_2^4, and 2^9 maps of P3 into F_2^3, one zero form each, fit a
-    # budget that every rank 0..4 would overrun
-    out = run_gm("verify", "--identity", "yuck", "--name", "P3", "--r", "0",
+    # yuck at r = 1 scans rank 1 alone (rank 0 is a closed form): 16^4 maps
+    # of P3 plus a vertex into F_2^4 and 8^3 maps of P3 into F_2^3, one
+    # rank-1 class each at q = 2, 65536 + 512, fit a budget that two ranks
+    # of the first scan would overrun
+    out = run_gm("verify", "--identity", "yuck", "--name", "P3", "--r", "1",
                  "--q", "2", "--budget", "70000", "--stats")
     assert out.returncode == 0
     assert "PASS" in out.stdout

@@ -40,13 +40,11 @@ from graphmotive import (
     discrete,
     make_field,
     path,
-    rank_census,
     rank_from_index_rows,
     spanning_tree_poly,
     star,
     stats,
     strata_counts,
-    symmetric_extension_census,
     symmetric_rank_census,
     tree_complement_poly,
     verify_apex_support_iso,
@@ -62,6 +60,7 @@ from graphmotive.counting import (
     extension_support,
 )
 from graphmotive.vecops import VecField
+from oracles import rank_census, symmetric_extension_census
 
 
 def evaluate(poly, field, point):
@@ -417,22 +416,38 @@ def test_contract_delete_signed_sums():
     for g in [complete(2), path(3), cycle(3), star(3), Graph(2, ((0, 1), (0, 1)))]:
         for q in (2, 3):
             assert verify_contract_delete_sums(g, q)
+    # K5's 150 classes of minors, from 2688 states before its last edge
+    for q in (2, 3):
+        assert verify_contract_delete_sums(complete(5), q)
 
 
 def test_signed_sums_enumerate_the_minors_once_per_run(monkeypatch):
-    # both sums and both orders read one enumeration of K4's 64 edge
-    # subsets, charged once as its 624 (A, B) pairs; the counts are memoized
-    # per minor, 905 evaluations of scans at q = 2 and 3
-    calls = []
-    is_forest = Graph.subset_is_forest
-    monkeypatch.setattr(
-        Graph, "subset_is_forest", lambda g, s: calls.append(s) or is_forest(g, s)
-    )
-    stats.reset()
+    # both sums and both orders read one recursion over K4's 6 edges,
+    # charged once, 3 units per state before each edge.  A partition into
+    # blocks that the edges so far connect has prod (b1 + 1) over blocks
+    # times prod (edges between + 1) over block pairs states.  Before each
+    # of the first four edges 1, 3, 9, 27: the first three, a star, merge
+    # no two choices; with 12 (a triangle and the edge 03), 16 + (6 + 6 + 6 + 8) + 3 + (4 + 3 + 3) + 2 = 57 by blocks:
+    # none joined, one edge, two edges, three vertices, all four; with 13
+    # (K4 less 23), 32 + (9 + 4·12) + (4 + 4) + (6 + 6 + 4 + 4) + 3 = 120.
+    # Each class of minors counts X and Y once, and the loopless, bridgeless
+    # ones scan: X on C3, C4, the diamond and K4, Y on those and on the
+    # bonds of 2, 3 and 4 edges, the triangle with one or two edges doubled
+    # and two digons at a vertex; by edges 2..6, 1, 3, 5, 3 and 2 scans of
+    # q^(edges - 2) rows: 1 + 3·2 + 5·4 + 3·8 + 2·16 = 83 at q = 2 and
+    # 1 + 3·3 + 5·9 + 3·27 + 2·81 = 298 at q = 3
+    levels, charge = [], stats.charge
+
+    def spy(units, what):
+        if what == "signed minor recursion":
+            levels.append(units)
+        charge(units, what)
+
+    monkeypatch.setattr(stats, "charge", spy)
     assert verify_contract_delete_sums(complete(4), 2)
     assert verify_contract_delete_sums(complete(4), 3)
-    assert len(calls) == 64
-    assert stats.evaluations == 905 + 624
+    assert levels == [3 * n for n in (1, 3, 9, 27, 57, 120)]
+    assert stats.evaluations == 3 * (1 + 3 + 9 + 27 + 57 + 120) + 83 + 298
 
 
 # ---------------------------------------------------------------------------

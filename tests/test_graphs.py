@@ -106,7 +106,6 @@ def test_subset_betti_matches_subgraph_betti():
     for mask in range(1 << g.m):
         sub = Graph(g.n, tuple(g.edges[i] for i in indices_from_mask(mask)))
         assert g.subset_betti(mask) == sub.betti()
-        assert g.subset_is_forest(mask) == sub.is_forest()
 
 
 def test_bridges_match_the_per_edge_definition():

@@ -114,6 +114,31 @@ def test_non_simple_graphs_are_rejected():
             count_A(g, 1, 1, 1, 2)
         with pytest.raises(NotSimple):
             count_J(g, 1, 2)
+        # Q = 0 is a closed form, which still checks the graph
+        with pytest.raises(NotSimple):
+            count_A(g, 1, 0, 1, 2)
+        with pytest.raises(NotSimple):
+            count_J(g, 0, 2)
+
+
+def test_zero_form_closed_form_against_oracles():
+    # rank 0 with at most one requirement is counted in closed form, with
+    # no charge; the element oracles scan every form and map
+    for g in (path(3), cycle(3), Graph(3, ((0, 1),))):
+        for q in (2, 3):
+            for s in (0, 1, 2):
+                for k in range(min(s, g.n) + 1):
+                    want = count_A_slow(g, s, 0, k, q)
+                    stats.reset()
+                    assert count_A(g, s, 0, k, q) == want, (g, s, k, q)
+                    assert stats.evaluations == 0
+    for q in (2, 3):
+        for s in (0, 1, 2):
+            for pairs in [(), ((0b011, 1),), ((0b111, 2),), ((0b101, 0),), ((0b000, 0),)]:
+                pi = PartialRank(3, pairs)
+                stats.reset()
+                assert count_L(s, pi, q) == brute_L(s, pi, q), (s, pi, q)
+                assert stats.evaluations == 0
 
 
 def test_engine_matches_slow_reference():
@@ -250,12 +275,16 @@ def test_count_L_against_oracle():
     assert count_L(2, PartialRank(2, ((0b01, 2),)), 3) == 0
     # empty subset needing positive span
     assert count_L(2, PartialRank(2, ((0b00, 1),)), 2) == 0
-    # the work is the map scan alone, one map per projective point of
-    # F_7^3 or the zero vector, 1 + (7^3 - 1)/6 = 58: no census of the
-    # symmetric forms
+    # with one requirement or none the form is Q = 0 and the count a closed
+    # form: no scan.  Two requirements scan the maps alone, one per
+    # projective point of F_7^3 or the zero vector for each of two
+    # vertices, (1 + (7^3 - 1)/6)^2 = 58^2: no census of the symmetric forms
     stats.reset()
     assert count_L(3, PartialRank(1, ()), 7) == 7**3
-    assert stats.evaluations == 58
+    assert stats.evaluations == 0
+    # f0 != 0 and f1 on its line: (7^3 - 1) 7
+    assert count_L(3, PartialRank(2, ((0b01, 1), (0b11, 1))), 7) == 342 * 7
+    assert stats.evaluations == 58**2
     # 2^8 maps of points, weighted up to 255^8 > 2^63: the weights are
     # summed exactly
     assert count_L(1, PartialRank(8, ()), 256) == 256**8
