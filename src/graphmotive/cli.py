@@ -130,6 +130,13 @@ def _parse_partial(text: str) -> PartialRank:
     return PartialRank(ground, tuple(pairs))
 
 
+def _lift_digit_cap():
+    """Lets exact answers print and cache at any length once the inputs are
+    read under the interpreter's 4300-digit int <-> str cap; main restores it."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+
+
 def _require(args, *names):
     for name in names:
         if getattr(args, name, None) is None:
@@ -185,6 +192,7 @@ def _build_table(args, out_errors: list[str]) -> CountTable:
     qs = _parse_q_list(args.q)
     obj, input_text = _count_input(spec.input, args)
     _require(args, *spec.needs)
+    _lift_digit_cap()
     params = {
         name: getattr(args, name)
         for name in spec.needs + spec.optional
@@ -277,6 +285,7 @@ def cmd_verify(args) -> int:
             params[key] = getattr(args, key)
     if args.pi is not None:
         params["base"] = _parse_partial(args.pi)
+    _lift_digit_cap()
     # an order over the budget or too large to tabulate is reported on
     # stderr and the remaining orders still run, as in count and fit
     all_ok = True
@@ -450,6 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     stats.reset(args.budget)
+    digit_cap = getattr(sys, "get_int_max_str_digits", int)()  # 0: no cap
     try:
         if args.budget is not None and args.budget < 0:
             raise ParseError(f"--budget must be nonnegative, got {args.budget}")
@@ -464,6 +474,8 @@ def main(argv=None) -> int:
     finally:
         # the run's budget ends with it; library calls after main get the default
         stats.budget = counting.DEFAULT_BUDGET
+        if digit_cap:
+            sys.set_int_max_str_digits(digit_cap)
     if args.stats:
         print(f"evaluations={stats.evaluations}", file=sys.stderr)
     return code

@@ -661,34 +661,21 @@ def count_symmetric_extensions(d2: int, r2: int, d1: int, r1: int, q: int) -> in
     """Symmetric d2 x d2 matrices over F_q of rank exactly r2 whose leading
     d1 x d1 block is a fixed symmetric matrix of rank r1.
 
-    The count depends only on (d2, r2, d1, r1): one bordering step has four
-    explicit cases and larger gaps compose step by step.
-    """
+    The block is congruent to diag(A0, 0), A0 invertible r1 x r1.  A Schur
+    complement against A0 clears the border rows facing A0: q^(r1 e) free
+    choices, e = d2 - d1.  When the other d1 - r1 border rows B have rank k,
+    [[0, B], [B^T, C]] has rank 2k plus that of C's trailing (e - k) block,
+    whose other k(e - k) + k(k + 1)/2 cells are free."""
     if d1 < 0 or d2 < d1:
         raise BadArgs(f"need 0 <= d1 <= d2, got ({d1}, {d2})")
-    return _extensions_cached(d2, r2, d1, r1, q)
-
-
-def _extensions_cached(d2: int, r2: int, d1: int, r1: int, q: int) -> int:
-    if r1 < 0 or r1 > d1 or r2 < 0 or r2 > d2:
+    if not (0 <= r1 <= d1 and r1 <= r2 <= d2):
         return 0
-    if d2 == d1:
-        return 1 if r2 == r1 else 0
-    if d2 == d1 + 1:
-        if r2 == r1:
-            return q**r1
-        if r2 == r1 + 1:
-            return q ** (r1 + 1) - q**r1
-        if r2 == r1 + 2:
-            return q ** (d1 + 1) - q ** (r1 + 1)
-        return 0
-    return stats.memoized(
-        ("ext", d2, r2, d1, r1, q),
-        lambda: sum(
-            _extensions_cached(d2, r2, d1 + 1, r1 + j, q)
-            * _extensions_cached(d1 + 1, r1 + j, d1, r1, q)
-            for j in range(3)
-        ),
+    e = d2 - d1
+    return q ** (r1 * e) * sum(
+        count_rank_maps(d1 - r1, e, k, q)
+        * q ** (k * (e - k) + k * (k + 1) // 2)
+        * count_symmetric_rank(e - k, r2 - r1 - 2 * k, q)
+        for k in range(min(d1 - r1, e, (r2 - r1) // 2) + 1)
     )
 
 

@@ -41,18 +41,18 @@ class LengthMismatch(GraphMotiveError):
 
 class BudgetExceeded(GraphMotiveError):
     """Enumeration would exceed the configured evaluation cap: it needs
-    `required` evaluations or, when that is None, at least 2^`log2`."""
+    `required` evaluations or, when that is None, at least 2^`log2`.  A
+    requirement of over 4300 digits is stated as a power of two too."""
 
     def __init__(self, required, limit: int, what: str = "enumeration", log2=None):
         self.required = required
         self.budget = limit
         self.what = what
-        needs = f"at least 2^{log2}"
         if required is not None:
-            try:
-                needs = str(required)
-            except ValueError:  # over the interpreter's int-to-str digit limit
-                needs = f"at least 2^{required.bit_length() - 1}"
+            log2 = required.bit_length() - 1
+        needs = f"at least 2^{log2}"
+        if required is not None and required < 10**4300:
+            needs = str(required)
         super().__init__(f"{what} needs {needs} evaluations, budget is {limit}")
 
 

@@ -265,13 +265,6 @@ class Graph:
     def add_disjoint_vertex(self) -> "Graph":
         return Graph(self.n + 1, self.edges)
 
-    def remove_vertex(self, v: int) -> "Graph":
-        if not (0 <= v < self.n):
-            raise BadVertex(f"vertex {v} outside 0..{self.n - 1}")
-        keep = [e for e in self.edges if v not in e]
-        remap = lambda w: w - 1 if w > v else w
-        return Graph(self.n - 1, tuple((remap(a), remap(b)) for a, b in keep))
-
     def delete_edges(self, mask: EdgeSubset) -> "Graph":
         kept = tuple(e for i, e in enumerate(self.edges) if not mask >> i & 1)
         return Graph(self.n, kept)

@@ -4,8 +4,8 @@ span dimension, subject to f(u)^T Q f(v) = 0 across every edge.
 
 Also houses the verifiers for the reduction identities relating these counts
 (cone extensions, ambient-dimension reductions, span stratifications) and the
-closed recursion that evaluates the nondegenerate pair count on forests
-without any enumeration.
+one pass per tree, from the leaves up, that gives the nondegenerate pair
+count on forests without any enumeration.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .counting import (
     count_symmetric_rank,
     stats,
 )
-from .errors import BadParams, BudgetExceeded, NotAForest
+from .errors import BadParams, BudgetExceeded, NotAForest, TooLarge
 from .ffield import make_field, rank_from_index_rows
 from .graphs import Graph, indices_from_mask
 from .matroids import Matroid, PartialRank, count_X
@@ -146,28 +146,29 @@ def _unsatisfiable(s: int, constraints) -> bool:
 
 
 def _check_scan(n: int, s: int, q: int, rank: int):
-    """(P, classes) of _count's scan of n vertices, once its P^n maps times
-    the classes are checked against the budget: P = 1 + (q^s - 1)/(q - 1)
-    values a vertex takes, zero or a point.  When P^n would have over
-    _EXACT_BITS bits, or q^s would, neither is built, nor the classes: the
-    lower bound 2^(n floor(log2 P) + floor(log2 classes)) is refused if it
-    is past the budget, with floor(log2 P) >= (s - 1) floor(log2 q) when q^s
-    is that long.  _classes lists two classes but at rank 0 and at odd
-    ranks in even characteristic."""
+    """(P, classes) of _count's scan of n vertices, built once its P^n maps
+    times the classes (two but at rank 0 and at odd ranks in even
+    characteristic) pass the budget: P = 1 + (q^s - 1)/(q - 1) values a
+    vertex takes, zero or a point.  When P^n would have over _EXACT_BITS
+    bits, or q^s would, neither is built: the lower bound 2^(n floor(log2 P)
+    + floor(log2 classes)) is refused if it is past the budget, with
+    floor(log2 P) >= (s - 1) floor(log2 q) when q^s is that long.  With no
+    vertex, one map, forms past 2^_EXACT_BITS are refused as too large."""
+    if n == 0 and s * (s + 1) // 2 * (q.bit_length() - 1) > _EXACT_BITS:
+        raise TooLarge(f"the {s} x {s} symmetric forms over F_{q} number over 2^{_EXACT_BITS}")
+    classes = 1 + (rank > 0 and (q % 2 == 1 or rank % 2 == 0))
     wide = s * q.bit_length() > _EXACT_BITS
     points = None if wide else 1 + (q**s - 1) // (q - 1)
     if wide or n * points.bit_length() > _EXACT_BITS:
         # P > q^(s - 1) when q^s is not built
         log2_points = (s - 1) * (q.bit_length() - 1) if wide else points.bit_length() - 1
-        two_classes = rank > 0 and (q % 2 == 1 or rank % 2 == 0)
-        log2 = n * log2_points + two_classes
+        log2 = n * log2_points + classes - 1
         if log2 >= stats.budget.bit_length():
             raise BudgetExceeded(None, stats.budget, "incidence scan", log2=log2)
-    classes = _classes(s, q, rank)
-    if points is None:  # no vertex: the bound refuses every other wide scan
-        points = 1 + (q**s - 1) // (q - 1)
-    stats.check(points**n * len(classes), "incidence scan")
-    return points, classes
+        if wide:  # a budget past the bound
+            points = 1 + (q**s - 1) // (q - 1)
+    stats.check(points**n * classes, "incidence scan")
+    return points, _classes(s, q, rank)
 
 
 def _zero_form(g: Graph, s: int, q: int, size: int, need: int) -> int:
@@ -348,38 +349,42 @@ def count_L(s: int, pi: PartialRank, q: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# forest recursion
+# forest pair counts
 
 
 def forest_J(forest: Graph, s: int, q: int) -> int:
-    """Nondegenerate pair count on a forest by structural recursion: the
-    empty graph contributes the invertible symmetric forms; an isolated
-    vertex contributes a free factor q^s; removing a leaf w attached at v
-    splits by whether f(v) vanishes.  Never enumerates."""
+    """Nondegenerate pair count on a forest, one pass per tree from the
+    leaves up: the invertible symmetric forms times, per tree, its maps.
+    zero[v] counts the maps of v's subtree with f(v) = 0 and fixed[v] those
+    with f(v) one given nonzero vector.  As Q is nondegenerate, the vectors
+    orthogonal to any nonzero vector form an (s-1)-space, so a child c
+    takes zero[c] + (q^s - 1) fixed[c] maps under a zero vector and
+    zero[c] + (q^(s-1) - 1) fixed[c] under a nonzero one.  Never
+    enumerates."""
     if not forest.is_forest():
         raise NotAForest(f"graph has a cycle: {forest!r}")
-
-    def rec(g: Graph) -> int:
-        if g.n == 0:
-            return count_symmetric_rank(s, s, q)
-        return stats.memoized(("forest", g.key(), s, q), lambda: split(g))
-
-    def split(g: Graph) -> int:
-        degrees = [0] * g.n
-        for u, v in g.edges:
-            degrees[u] += 1
-            degrees[v] += 1
-        if 0 in degrees:
-            return q**s * rec(g.remove_vertex(degrees.index(0)))
-        w = degrees.index(1)
-        (nbr,) = [u if u != w else v for u, v in g.edges if w in (u, v)]
-        peeled = g.remove_vertex(w)
-        nbr_after = nbr - 1 if nbr > w else nbr
-        return q ** (s - 1) * (
-            rec(peeled) + (q - 1) * rec(peeled.remove_vertex(nbr_after))
-        )
-
-    return rec(forest)
+    total = count_symmetric_rank(s, s, q)
+    # at s = 0 no vector is nonzero, and q^(s-1) would be a float
+    nonzero, orthogonal = q**s - 1, q ** max(s - 1, 0) - 1
+    nbrs = [[] for _ in range(forest.n)]
+    for u, v in forest.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    zero, fixed, parent = [1] * forest.n, [1] * forest.n, [None] * forest.n
+    for root in range(forest.n):
+        if parent[root] is not None:
+            continue
+        parent[root], order = root, [root]  # breadth first: parents first
+        for v in order:
+            for w in nbrs[v]:
+                if parent[w] is None:
+                    parent[w] = v
+                    order.append(w)
+        for v in reversed(order[1:]):
+            zero[parent[v]] *= zero[v] + nonzero * fixed[v]
+            fixed[parent[v]] *= zero[v] + orthogonal * fixed[v]
+        total *= zero[root] + nonzero * fixed[root]
+    return total
 
 
 # ---------------------------------------------------------------------------

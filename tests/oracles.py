@@ -1,12 +1,18 @@
-"""Enumeration oracles for the closed-form counts: every matrix is listed and
-its rank taken from the field's operation tables, so these stay independent
-of the counting engine they check."""
+"""Enumeration oracles for the engine's counts: every matrix or point is
+listed, and its rank or value taken from the field's operation tables, so
+these stay independent of the counting engine they check."""
 
 from __future__ import annotations
 
 from itertools import product
 
-from graphmotive import BadArgs, make_field, rank_from_index_rows, stats
+from graphmotive import (
+    BadArgs,
+    make_field,
+    rank_from_index_rows,
+    spanning_tree_poly,
+    stats,
+)
 
 
 def symmetric_extension_census(
@@ -65,3 +71,39 @@ def rank_census(e: int, f: int, q: int) -> dict[int, int]:
         r = rank_from_index_rows(field, rows)
         counts[r] = counts.get(r, 0) + 1
     return counts
+
+
+def evaluate(poly, field, point):
+    """poly at a point of F_q^nvars given as element indices, term by term
+    with one table lookup per operation; the integer c is index c mod p."""
+    add, mul = field.add_table, field.mul_table
+    total = 0
+    for mask, coeff in poly.terms.items():
+        term = coeff % field.p
+        for i, x in enumerate(point):
+            if mask >> i & 1:
+                term = mul[term][x]
+        total = add[total][term]
+    return total
+
+
+def zeros_oracle(poly, q):
+    """Evaluate at every point with scalar table arithmetic."""
+    field = make_field(q)
+    zeros = 0
+    for point in product(range(q), repeat=poly.nvars):
+        if evaluate(poly, field, point) == 0:
+            zeros += 1
+    return zeros
+
+
+def strata_oracle(g, q):
+    """Zero points of the spanning-tree polynomial by exact zero set,
+    one scalar evaluation per point."""
+    field = make_field(q)
+    poly = spanning_tree_poly(g)
+    exact = {s: 0 for s in range(1 << g.m)}
+    for point in product(range(q), repeat=g.m):
+        if evaluate(poly, field, point) == 0:
+            exact[sum(1 << e for e in range(g.m) if point[e] == 0)] += 1
+    return exact

@@ -37,11 +37,22 @@ def _cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+@pytest.fixture
+def any_digits():
+    """Lifts the interpreter's int <-> str digit cap for the test, so it
+    can spell out the exact answers it expects."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(cap)
+
+
 def run_gm(*argv: str) -> subprocess.CompletedProcess:
     """gm argv in a fresh interpreter with 4 GiB of address space, killed
-    after 60 s; each input run this way finishes in well under a second."""
+    after 60 s; each input run this way finishes in well under a second,
+    and none ends in a traceback."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
+    out = subprocess.run(
         [sys.executable, "-m", "graphmotive.cli", *argv],
         capture_output=True,
         text=True,
@@ -49,6 +60,8 @@ def run_gm(*argv: str) -> subprocess.CompletedProcess:
         timeout=60,
         preexec_fn=_cap_memory,
     )
+    assert "Traceback (most recent call last)" not in out.stderr, (argv, out.stderr)
+    return out
 
 
 def test_poly_text_output(capsys):
@@ -373,6 +386,82 @@ def test_huge_vertex_counts_end_in_one_line(tmp_path):
         assert out.returncode == (1 if stderr else 0), argv
         assert out.stdout.splitlines()[1:] == ([stdout] if stdout else []), argv
         assert out.stderr == stderr, argv
+
+
+def test_free_borders_count_in_closed_form(any_digits):
+    # 250 untouched vertices, or a 300-dimensional ambient space, border a
+    # small block: the extension count is one sum over the border's rank,
+    # with no recursion level per border row
+    invertible = counting.count_symmetric_rank(250, 250, 2)
+    for argv, line in (
+        (("count", "--kind", "Zrank", "--name", "D250", "--r", "1"),
+         f"q=2 count={counting.count_symmetric_rank(250, 1, 2)}"),
+        (("count", "--kind", "Z", "--name", "D250"), f"q=2 count={invertible}"),
+        (("count", "--kind", "Zo", "--name", "K250"), f"q=2 count={invertible}"),
+        (("verify", "--identity", "free-vertex", "--name", "D250"),
+         "identity=free-vertex q=2 PASS"),
+        (("verify", "--identity", "firstred", "--name", "D0", "--s", "300",
+          "--r", "0", "--k", "0"),
+         "identity=firstred q=2 lhs=1 rhs=1 PASS"),
+    ):
+        start = time.monotonic()
+        out = run_gm(*argv, "--q", "2")
+        assert time.monotonic() - start < 2, argv
+        assert out.returncode == 0 and out.stderr == "", argv
+        assert out.stdout.splitlines()[-1] == line, argv
+
+
+def test_wide_scans_are_refused_before_their_forms_are_listed():
+    # the budget check counts the classes of forms without building them;
+    # with no vertex the scan is one map, so forms past 2^(2^20) are too
+    # large to count
+    budget = "evaluations, budget is 100000000"
+    for name, s, err in (
+        ("D0", 200000, "the 200000 x 200000 symmetric forms over F_2 number over 2^1048576"),
+        ("K1", 200000, f"incidence scan needs at least 2^200001 {budget}"),
+        ("P3", 20000, f"incidence scan needs at least 2^60001 {budget}"),
+    ):
+        start = time.monotonic()
+        out = run_gm("count", "--kind", "J", "--name", name, "--s", str(s), "--q", "2")
+        assert time.monotonic() - start < 2, name
+        assert out.returncode == 1, name
+        assert out.stderr == f"q=2: {err}\n", name
+
+
+def test_answers_of_any_length_print_and_cache(tmp_path, monkeypatch, capsys, any_digits):
+    # answers past 4300 digits print whole, and a second run reads them
+    # back from the cache: its counts are never called.  The inputs are
+    # still read under the interpreter's digit cap
+    runs = (
+        (["count", "--kind", "XG", "--name", "P20000", "--q", "3"], 0,
+         f"q=3 count={2**19999}"),
+        (["count", "--kind", "J", "--name", "D0", "--s", "200", "--q", "2"], 0,
+         f"q=2 count={counting.count_symmetric_rank(200, 200, 2)}"),
+        (["count", "--kind", "YG", "--name", "S20000", "--q", "2"], 0, None),
+        (["fit", "--kind", "XG", "--name", "P20000", "--q", "2,3,4", "--max-deg", "1"],
+         1, f"q=4 count={3**19999}"),
+    )
+    printed = []
+    for argv, code, line in runs:
+        out = run_gm(*argv)
+        assert out.returncode == code and out.stderr == "", argv
+        if line is not None:
+            assert line in out.stdout.splitlines(), argv
+        assert max(map(len, out.stdout.splitlines())) > 4300, argv
+        printed.append(out.stdout)
+
+    def refuse(obj, args, q):
+        raise AssertionError(f"{args.kind} at q={q} counted again")
+
+    for kind in ("XG", "J", "YG"):
+        monkeypatch.setitem(cli.COUNTS, kind, cli.COUNTS[kind]._replace(compute=refuse))
+    for (argv, code, _), stdout in zip(runs, printed):
+        assert main(argv) == code, argv
+        assert capsys.readouterr().out == stdout, argv
+    big = tmp_path / "big.txt"
+    big.write_text("9" * 5000 + " 0\n")
+    out = run_gm("count", "--kind", "J", "--graph", str(big), "--s", "1", "--q", "2")
+    assert out.returncode == 2 and out.stderr.startswith("error: bad header")
 
 
 def test_pi_strat_over_the_budget_answers_an_unsatisfiable_base(capsys):

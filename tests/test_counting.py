@@ -60,31 +60,13 @@ from graphmotive.counting import (
     extension_support,
 )
 from graphmotive.vecops import VecField
-from oracles import rank_census, symmetric_extension_census
-
-
-def evaluate(poly, field, point):
-    """poly at a point of F_q^nvars given as element indices, term by term
-    with one table lookup per operation; the integer c is index c mod p."""
-    add, mul = field.add_table, field.mul_table
-    total = 0
-    for mask, coeff in poly.terms.items():
-        term = coeff % field.p
-        for i, x in enumerate(point):
-            if mask >> i & 1:
-                term = mul[term][x]
-        total = add[total][term]
-    return total
-
-
-def zeros_oracle(poly, q):
-    """Evaluate at every point with scalar table arithmetic."""
-    field = make_field(q)
-    zeros = 0
-    for point in itertools.product(range(q), repeat=poly.nvars):
-        if evaluate(poly, field, point) == 0:
-            zeros += 1
-    return zeros
+from oracles import (
+    evaluate,
+    rank_census,
+    strata_oracle,
+    symmetric_extension_census,
+    zeros_oracle,
+)
 
 
 def test_count_zeros_against_evaluation_oracle():
@@ -377,18 +359,6 @@ def test_strata_subset_sums_are_not_the_bottleneck():
     assert time.perf_counter() - start < 5.0
     total_zeros = q**g.m - count_tree_support(g, q)
     assert st.zero_on[0] == sum(st.zero_exactly_on.values()) == total_zeros
-
-
-def strata_oracle(g, q):
-    """Zero points of the spanning-tree polynomial by exact zero set,
-    one scalar evaluation per point."""
-    field = make_field(q)
-    poly = spanning_tree_poly(g)
-    exact = {s: 0 for s in range(1 << g.m)}
-    for point in itertools.product(range(q), repeat=g.m):
-        if evaluate(poly, field, point) == 0:
-            exact[sum(1 << e for e in range(g.m) if point[e] == 0)] += 1
-    return exact
 
 
 def test_strata_counts_match_oracle_on_random_graphs():
@@ -730,3 +700,16 @@ def test_extension_bad_params():
     # out-of-range ranks are just empty counts
     assert count_symmetric_extensions(3, 5, 2, 1, 2) == 0
     assert count_symmetric_extensions(3, 1, 2, 2, 2) == 0
+
+
+def test_wide_borders_are_one_sum_with_no_memo():
+    # one sum over the border's rank: neither the recursion depth nor the
+    # run's memo grows with the border d2 - d1
+    assert count_symmetric_extensions(2000, 3, 0, 0, 3) == count_symmetric_rank(2000, 3, 3)
+    assert count_symmetric_extensions(2000, 2000, 1000, 1000, 2) == 2 ** (
+        1000 * 1000
+    ) * count_symmetric_rank(1000, 1000, 2)
+    # every border total is q^(border cells), summed over the target rank
+    total = sum(count_symmetric_extensions(60, r2, 30, 11, 5) for r2 in range(61))
+    assert total == 5 ** (30 * 30 + 30 * 31 // 2)
+    assert stats.memo == {}

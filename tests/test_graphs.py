@@ -178,9 +178,6 @@ def test_structural_operators():
     with pytest.raises(NotSimple):
         Graph(1, ((0, 0),)).complement()
 
-    assert complete(4).remove_vertex(0).key() == complete(3).key()
-    assert path(3).remove_vertex(1).key() == discrete(2).key()
-
     assert cycle(4).delete_edges(0b1).key() == Graph(
         4, ((1, 2), (2, 3), (3, 0))
     ).key()

@@ -664,6 +664,22 @@ def test_forest_recursion_matches_enumeration():
         forest_J(cycle(3), 1, 2)
 
 
+def test_forest_pass_matches_a_transfer_matrix_on_long_paths():
+    # one pass from the leaves, no recursion level per leaf: on a path the
+    # maps are words in the states f(v) = 0 and f(v) != 0, with transfer
+    # matrix T = [[1, q^s - 1], [1, q^(s-1) - 1]] (a nonzero vector is
+    # orthogonal to an (s-1)-space); at s = 0 no vector is nonzero
+    for s in (0, 1, 2):
+        for q in (2, 3):
+            t = ((1, q**s - 1), (1, q ** (s - 1) - 1 if s else 0))
+            ends = (1, q**s - 1)  # maps of the first vertex, by its state
+            for _ in range(1999):
+                ends = tuple(ends[0] * t[0][j] + ends[1] * t[1][j] for j in (0, 1))
+            got = forest_J(path(2000), s, q)
+            assert type(got) is int, (s, q)
+            assert got == counting.count_symmetric_rank(s, s, q) * sum(ends), (s, q)
+
+
 IDENTITY_SMOKE = [
     ("firstred", {"graph": cycle(3), "s": 2, "r": 1, "k": 1}, (2, 3)),
     ("firstred", {"graph": path(3), "s": 2, "r": 2, "k": 2}, (2, 3)),
