@@ -191,36 +191,30 @@ def _tree_count(g: Graph, q: int, kind: str) -> int:
     """X(G) (kind "X", the spanning-tree polynomial) or Y(G) (kind "Y", the
     tree-complement polynomial): the points of F_q^E where it is nonzero.
 
-    A recurrence memoized on g's labels, each rule applied to every edge it
-    fits at once, so the recursion is as deep as the rounds of rules:
-      loops L:           X(G) = q^|L| X(G - L),      Y(G) = (q-1)^|L| Y(G - L);
-      bridges B:         X(G) = (q-1)^|B| X(G / B),  Y(G) = q^|B| Y(G / B);
-      X only, twins P:   X(G) = q^|P| X(G - P), P every edge parallel to an
-                         earlier one, as T_G(x) = T_{G-f}(x_e + x_f).
-    A graph with no vertex or with two components has no spanning tree and
-    counts 0; a single vertex counts 1.  Any other graph is scanned, the
-    scan checked against the budget before the polynomial is built:
-    enumerating the spanning trees of a dense graph costs more than the
-    refusal."""
+    A spanning tree is a union of spanning trees of the blocks, so both
+    counts are products over the blocks, memoized on their labels.  A loop
+    counts q for X and q - 1 for Y, any other one-edge block q - 1 and q.
+    For X, a block's twins P, the edges parallel to an earlier one, go as
+    X(G) = q^|P| X(G - P), since T_G(x) = T_{G-f}(x_e + x_f).  A graph with
+    no vertex or two components counts 0.  Any other block is scanned,
+    after a budget check: listing the spanning trees of a dense graph costs
+    more than the refusal."""
 
     def compute():
         make_field(q)  # an order with no field fails here, closed form or not
         if not g.is_connected():
             return 0
-        loop, bridge = (q, q - 1) if kind == "X" else (q - 1, q)
-        loops = mask_from_indices(i for i, (u, v) in enumerate(g.edges) if u == v)
-        if loops:
-            return loop ** loops.bit_count() * _tree_count(g.delete_edges(loops), q, kind)
-        bridges = g.bridges()
-        if bridges:
-            return bridge ** bridges.bit_count() * _tree_count(g.contract(bridges), q, kind)
+        blocks = g.blocks()
+        if len(blocks) != 1 or g.m == 1:
+            # a one-edge block is a loop (one vertex) or an edge (two)
+            one_edge = {1: q, 2: q - 1} if kind == "X" else {1: q - 1, 2: q}
+            counts = (one_edge[b.n] if b.m == 1 else _tree_count(b, q, kind) for b in blocks)
+            return math.prod(counts)
         if kind == "X":
             pairs = [(min(u, v), max(u, v)) for u, v in g.edges]
             twins = mask_from_indices(i for i, p in enumerate(pairs) if p in pairs[:i])
             if twins:
                 return q ** twins.bit_count() * _tree_count(g.delete_edges(twins), q, kind)
-        if g.n == 1:
-            return 1
         stats.check(q ** (max(g.m, 2) - 2), "polynomial zero scan")
         poly = spanning_tree_poly if kind == "X" else tree_complement_poly
         return q**g.m - count_zeros(poly(g), q)
@@ -605,15 +599,21 @@ def count_invertible(n: int, q: int) -> int:
     return total
 
 
+def _balanced_product(factors: list[int]) -> int:
+    """Product by pairs, each multiplication joining two like sizes."""
+    while len(factors) > 1:
+        factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0] if factors else 1
+
+
 def count_subspaces(k: int, n: int, q: int) -> int:
     """k-dimensional subspaces of F_q^n; zero when no such subspace exists
     (either dimension negative, or k above n)."""
     if k < 0 or n < 0 or k > n:
         return 0
-    if k in (0, n):
-        return 1
-    num = count_invertible(n, q)
-    den = count_invertible(k, q) * count_invertible(n - k, q) * q ** (k * (n - k))
+    k = min(k, n - k)  # [n, k]_q = [n, n - k]_q
+    num = _balanced_product([q ** (n - i) - 1 for i in range(k)])
+    den = _balanced_product([q ** (i + 1) - 1 for i in range(k)])
     assert num % den == 0
     return num // den
 
@@ -626,20 +626,14 @@ def count_rank_maps(e: int, f: int, r: int, q: int) -> int:
 
 
 def count_symmetric_rank(n: int, r: int, q: int) -> int:
-    """Symmetric n x n matrices over F_q of rank exactly r."""
+    """Symmetric n x n matrices over F_q of rank exactly r: an r-dimensional
+    row space and a nondegenerate form on it, of which there are
+    q^(h(h+1)) prod_{i=1..r-h} (q^(2i-1) - 1), h = r // 2 (MacWilliams 1969)."""
     if n < 0 or r < 0:
         raise BadArgs(f"arguments must be nonnegative, got ({n}, {r})")
-    if r > n:
-        return 0
-    num = 1
-    den = 1
-    for i in range(1, r // 2 + 1):
-        num *= q ** (2 * i)
-        den *= q ** (2 * i) - 1
-    for i in range(r):
-        num *= q ** (n - i) - 1
-    assert num % den == 0
-    return num // den
+    h = r // 2
+    odd = _balanced_product([q ** (2 * i - 1) - 1 for i in range(1, r - h + 1)])
+    return count_subspaces(r, n, q) * q ** (h * (h + 1)) * odd
 
 
 # ---------------------------------------------------------------------------

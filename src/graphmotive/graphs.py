@@ -180,19 +180,24 @@ class Graph:
         b0 = len({uf.find(v) for v in range(self.n)})
         return b0, count - self.n + b0
 
-    def bridges(self) -> EdgeSubset:
-        """Mask of the bridges, the edges whose deletion adds a component,
-        from one lowpoint depth-first search (Tarjan 1974), run on an
-        explicit stack so that long paths do not recurse.  The search skips
-        only the edge it entered a vertex by, so a loop or a parallel edge,
-        which lies on a cycle, is never a bridge."""
+    def blocks(self) -> list["Graph"]:
+        """The blocks, as graphs with their vertices relabeled in increasing
+        order and their edges in order: two edges share one when they lie on
+        a common cycle, so a bridge is a one-edge block, and a loop is a
+        block of its own.  One lowpoint search with an edge stack (Tarjan
+        1972), on an explicit stack so that long paths do not recurse."""
         adj = [[] for _ in range(self.n)]
+        found = []
         for i, (u, v) in enumerate(self.edges):
-            adj[u].append((v, i))
-            adj[v].append((u, i))
+            if u == v:
+                found.append([i])
+            else:
+                adj[u].append((v, i))
+                adj[v].append((u, i))
         order = [-1] * self.n  # discovery time
         low = [0] * self.n  # least discovery time reachable through one back edge
-        found = []
+        entry = [0] * self.n  # edge_stack index of the edge that entered a vertex
+        edge_stack = []
         clock = 0
         for root in range(self.n):
             if order[root] >= 0:
@@ -208,17 +213,27 @@ class Graph:
                     if order[w] < 0:
                         order[w] = low[w] = clock
                         clock += 1
+                        entry[w] = len(edge_stack)
+                        edge_stack.append(i)
                         stack.append((w, i, iter(adj[w])))
                         break
-                    low[v] = min(low[v], order[w])
+                    if order[w] < order[v]:  # a back edge, seen from below
+                        edge_stack.append(i)
+                        low[v] = min(low[v], order[w])
                 else:
                     stack.pop()
                     if stack:
                         parent = stack[-1][0]
                         low[parent] = min(low[parent], low[v])
-                        if low[v] > order[parent]:
-                            found.append(entered)
-        return mask_from_indices(found)
+                        if low[v] >= order[parent]:  # parent cuts v's block off
+                            found.append(edge_stack[entry[v]:])
+                            del edge_stack[entry[v]:]
+        out = []
+        for block in found:
+            edges = [self.edges[i] for i in sorted(block)]
+            local = {v: k for k, v in enumerate(sorted({v for e in edges for v in e}))}
+            out.append(Graph(len(local), tuple((local[u], local[v]) for u, v in edges)))
+        return out
 
     # -- spanning trees --------------------------------------------------
 
@@ -268,22 +283,6 @@ class Graph:
     def delete_edges(self, mask: EdgeSubset) -> "Graph":
         kept = tuple(e for i, e in enumerate(self.edges) if not mask >> i & 1)
         return Graph(self.n, kept)
-
-    def contract(self, mask: EdgeSubset) -> "Graph":
-        """Contract the mask's edges (any set; loops and multiple edges may
-        appear)."""
-        uf = _UnionFind(self.n)
-        for i, (u, v) in enumerate(self.edges):
-            if mask >> i & 1:
-                uf.union(u, v)
-        roots = sorted({uf.find(v) for v in range(self.n)})
-        relabel = {r: i for i, r in enumerate(roots)}
-        new_edges = tuple(
-            (relabel[uf.find(u)], relabel[uf.find(v)])
-            for i, (u, v) in enumerate(self.edges)
-            if not mask >> i & 1
-        )
-        return Graph(len(roots), new_edges)
 
 
 # -- named constructors ------------------------------------------------------

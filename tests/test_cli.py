@@ -278,8 +278,9 @@ def test_tree_counts_check_the_budget_before_listing_trees():
 
 def test_tree_count_budget_sees_only_the_core(tmp_path, capsys):
     # K4 with a pendant path of 40 edges: all 46 variables scanned would be
-    # 2^44 rows at q = 2, over the budget, but the 40 bridges contract off
-    # as factors q - 1, so only K4's q^(6 - 2) rows are scanned: 16 + 81
+    # 2^44 rows at q = 2, over the budget, but the 40 bridges are one-edge
+    # blocks, factors q - 1, so only the block K4's q^(6 - 2) rows are
+    # scanned: 16 + 81
     edges = list(graphs.complete(4).edges) + [(3 + i, 4 + i) for i in range(40)]
     graph_file = tmp_path / "lollipop.txt"
     graph_file.write_text(graphs.format_edge_list(graphs.Graph(44, tuple(edges))))
@@ -289,6 +290,43 @@ def test_tree_count_budget_sees_only_the_core(tmp_path, capsys):
     assert code == 0
     assert out.out.splitlines()[1:] == ["q=2 count=28", f"q=3 count={468 * 2**40}"]
     assert out.err == "evaluations=97\n"
+
+
+def test_equal_blocks_scan_once(tmp_path):
+    # two K5s sharing a vertex are two blocks that relabel to one key, so XG
+    # scans K5's 2^(10 - 2) = 256 rows once at q = 2, where the whole
+    # polynomial would take 2^(20 - 2) = 262144
+    k5 = list(graphs.complete(5).edges)
+    graph_file = tmp_path / "two_k5.txt"
+    graph_file.write_text(graphs.format_edge_list(
+        graphs.Graph(9, tuple(k5 + [(u + 4, v + 4) for u, v in k5]))
+    ))
+    out = run_gm("count", "--kind", "XG", "--graph", str(graph_file), "--q", "2",
+                 "--stats")
+    assert out.returncode == 0
+    want = counting.count_tree_support(graphs.complete(5), 2) ** 2
+    assert out.stdout.splitlines()[1:] == [f"q=2 count={want}"]
+    assert out.stderr == "evaluations=256\n"
+
+
+def test_import_and_poly_load_no_numpy():
+    # `import graphmotive` and `gm poly` build no field table, so neither
+    # loads numpy
+    script = (
+        "import sys, graphmotive\n"
+        "from graphmotive import cli\n"
+        "assert cli.main(['poly', '--name', 'K4']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy is loaded'\n"
+    )
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
 
 
 def test_signed_sums_charge_the_minor_enumeration(capsys):

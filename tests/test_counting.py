@@ -256,13 +256,15 @@ def multigraphs_up_to_relabeling(max_n, max_m):
 
 
 def test_peeled_tree_counts_against_oracle():
-    # loops, bridges and parallel edges peel off in closed form before the
-    # core is scanned; every count must still be q^m minus the zeros of the
-    # whole polynomial.  A zero count does not change when the variables are
-    # renamed, so the oracle runs once per polynomial up to renaming (every
-    # coefficient of a tree polynomial is 1).
+    # a count is a product over the blocks, loops and bridges in closed form,
+    # and parallel edges peel off before a block is scanned; every count must
+    # still be q^m minus the zeros of the whole polynomial.  A zero count
+    # does not change when the variables are renamed, so the oracle runs once
+    # per polynomial up to renaming (every coefficient of a tree polynomial
+    # is 1).
     corpus = list(multigraphs_up_to_relabeling(4, 5))
     corpus += [discrete(0), discrete(1), discrete(2), cycle(1), cycle(2)]
+    corpus.append(Graph(5, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4))))
     oracle = {}
 
     def zeros(poly, q):
@@ -286,14 +288,33 @@ def test_peeled_tree_counts_against_oracle():
             assert count_tree_complement(g, q) == q**g.m - zeros(
                 tree_complement_poly(g), q
             ), (g, q)
+    # K4 with a pendant path and a loop, and two K4s at a vertex, the second
+    # a memo hit on the first: too many variables to rename, so one oracle
+    # run per polynomial, at the orders where it is quick
+    k4 = list(complete(4).edges)
+    for g, qs in (
+        (Graph(6, tuple(k4 + [(3, 4), (4, 5), (5, 5)])), (2, 3)),
+        (Graph(7, tuple(k4 + [(u + 3, v + 3) for u, v in k4])), (2,)),
+    ):
+        for q in qs:
+            stats.reset()
+            assert count_tree_support(g, q) == q**g.m - zeros_oracle(
+                spanning_tree_poly(g), q
+            ), (g, q)
+            assert count_tree_complement(g, q) == q**g.m - zeros_oracle(
+                tree_complement_poly(g), q
+            ), (g, q)
 
 
 def test_tree_count_rules_take_every_edge_they_fit_at_once(monkeypatch):
-    # each rule removes every loop, bridge or twin it finds in one step, so
-    # the recursion is one level per round of rules, not per edge: P400 is
-    # one round of 399 bridges, and a chain of 60 digons with a loop at the
-    # first vertex of each link is three rounds (loops, twins, bridges).
-    # One frame per edge would raise RecursionError on both.
+    # the block split takes every loop and bridge in one step and the twin
+    # rule every twin, so the recursion is as deep as the rounds of rules,
+    # not the edges: P400 is 399 one-edge blocks, each a closed form, so its
+    # one memo entry is P400 itself.  A chain of 60 digons with a loop at the
+    # first vertex of each link is 120 blocks: the loops are closed forms,
+    # and every digon relabels to the one digon, whose twin rule leaves the
+    # one-edge graph; three entries.  One frame per edge would raise
+    # RecursionError on both.
     def memo_kinds():
         return sorted(key[0] for key in stats.memo)
 
@@ -303,9 +324,9 @@ def test_tree_count_rules_take_every_edge_they_fit_at_once(monkeypatch):
     ):
         stats.reset()
         assert count(path(400), 3) == want
-        assert memo_kinds() == [kind, kind] and stats.evaluations == 0
-    # one lowpoint search finds all 1599 bridges of P1600, where a Betti
-    # number per edge took 1.2 s
+        assert memo_kinds() == [kind] and stats.evaluations == 0
+    # one connectivity check and one lowpoint search for all 1599 blocks
+    # of P1600, where a Betti number per edge took 1.2 s
     bettis, betti = [], Graph.subset_betti
     monkeypatch.setattr(
         Graph, "subset_betti", lambda g, mask: bettis.append(mask) or betti(g, mask)
@@ -316,11 +337,14 @@ def test_tree_count_rules_take_every_edge_they_fit_at_once(monkeypatch):
     assert time.perf_counter() - start < 1
     assert len(bettis) <= 2 and stats.evaluations == 0
     monkeypatch.undo()
+    stats.reset()
+    assert count_tree_complement(path(5000), 2) == 2**4999
+    assert stats.evaluations == 0
     links = [(i, i + 1) for i in range(60)]
     chain = Graph(61, tuple(links + links + [(i, i) for i in range(60)]))
     stats.reset()
     assert count_tree_support(chain, 5) == 100**60  # (5^2 (5 - 1))^60
-    assert memo_kinds() == ["X"] * 4 and stats.evaluations == 0
+    assert memo_kinds() == ["X"] * 3 and stats.evaluations == 0
 
 
 def test_strata_counts_consistency():
@@ -400,12 +424,13 @@ def test_signed_sums_enumerate_the_minors_once_per_run(monkeypatch):
     # no two choices; with 12 (a triangle and the edge 03), 16 + (6 + 6 + 6 + 8) + 3 + (4 + 3 + 3) + 2 = 57 by blocks:
     # none joined, one edge, two edges, three vertices, all four; with 13
     # (K4 less 23), 32 + (9 + 4·12) + (4 + 4) + (6 + 6 + 4 + 4) + 3 = 120.
-    # Each class of minors counts X and Y once, and the loopless, bridgeless
-    # ones scan: X on C3, C4, the diamond and K4, Y on those and on the
-    # bonds of 2, 3 and 4 edges, the triangle with one or two edges doubled
-    # and two digons at a vertex; by edges 2..6, 1, 3, 5, 3 and 2 scans of
-    # q^(edges - 2) rows: 1 + 3·2 + 5·4 + 3·8 + 2·16 = 83 at q = 2 and
-    # 1 + 3·3 + 5·9 + 3·27 + 2·81 = 298 at q = 3
+    # Each class of minors counts X and Y once, as a product over its
+    # blocks, and each block class of two or more edges scans once: X on
+    # C3, C4, the diamond and K4, Y on those and on the bonds of 2, 3 and 4
+    # edges and the triangle with one or two edges doubled (two digons at a
+    # vertex are two bonds of 2); by edges 2..6, 1, 3, 4, 3 and 2 scans of
+    # q^(edges - 2) rows: 1 + 3·2 + 4·4 + 3·8 + 2·16 = 79 at q = 2 and
+    # 1 + 3·3 + 4·9 + 3·27 + 2·81 = 289 at q = 3
     levels, charge = [], stats.charge
 
     def spy(units, what):
@@ -417,7 +442,7 @@ def test_signed_sums_enumerate_the_minors_once_per_run(monkeypatch):
     assert verify_contract_delete_sums(complete(4), 2)
     assert verify_contract_delete_sums(complete(4), 3)
     assert levels == [3 * n for n in (1, 3, 9, 27, 57, 120)]
-    assert stats.evaluations == 3 * (1 + 3 + 9 + 27 + 57 + 120) + 83 + 298
+    assert stats.evaluations == 3 * (1 + 3 + 9 + 27 + 57 + 120) + 79 + 289
 
 
 # ---------------------------------------------------------------------------

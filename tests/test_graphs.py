@@ -108,9 +108,34 @@ def test_subset_betti_matches_subgraph_betti():
         assert g.subset_betti(mask) == sub.betti()
 
 
-def test_bridges_match_the_per_edge_definition():
-    # an edge is a bridge when deleting it adds a component; the corpus has
-    # loops, parallel edges and several components
+def on_a_cycle_with(g, e):
+    """The edges f != e that share a cycle with the non-loop edge e = (a, b):
+    those on some simple path from a to b that avoids e, by listing every
+    such path."""
+    a, b = g.edges[e]
+    found = set()
+
+    def walk(v, seen, used):
+        if v == b:
+            found.update(used)
+            return
+        for f, (x, y) in enumerate(g.edges):
+            if f != e and v in (x, y):
+                w = y if v == x else x
+                if w not in seen:
+                    walk(w, seen | {w}, used + [f])
+
+    walk(a, {a}, [])
+    return found
+
+
+def test_blocks_match_the_common_cycle_definition():
+    # the blocks partition the edges: two distinct non-loop edges share one
+    # exactly when they lie on a common cycle, and a loop is a block of its
+    # own.  A block keeps its edges' order and relabels its vertices in
+    # increasing order.  The one-edge non-loop blocks are the bridges, the
+    # edges whose deletion adds a component.  The corpus has loops, parallel
+    # edges and several components
     rng = random.Random(20)
     corpus = [discrete(0), discrete(3), path(6), cycle(1), cycle(2), star(4)]
     for _ in range(300):
@@ -120,12 +145,26 @@ def test_bridges_match_the_per_edge_definition():
             (rng.randrange(n), rng.randrange(n)) for _ in range(m)
         )))
     for g in corpus:
+        loops = [e for e, (u, v) in enumerate(g.edges) if u == v]
+        classes = [{e} for e in loops]
+        for e in range(g.m):
+            if not any(e in c for c in classes):
+                classes.append({e} | on_a_cycle_with(g, e))
+        want = []
+        for c in classes:
+            edges = [g.edges[i] for i in sorted(c)]
+            local = {v: k for k, v in enumerate(sorted({v for uv in edges for v in uv}))}
+            want.append((len(local), tuple((local[u], local[v]) for u, v in edges)))
+        blocks = g.blocks()
+        assert sum(b.m for b in blocks) == g.m, g
+        assert sorted((b.n, b.edges) for b in blocks) == sorted(want), g
         full, b0 = (1 << g.m) - 1, g.betti()[0]
-        want = mask_from_indices(
-            i for i in range(g.m) if g.subset_betti(full ^ 1 << i)[0] > b0
-        )
-        assert g.bridges() == want, g
-    assert path(1600).bridges() == (1 << 1599) - 1  # deeper than the recursion limit
+        bridges = [i for i in range(g.m) if g.subset_betti(full ^ 1 << i)[0] > b0]
+        singles = sorted(e for c in classes if len(c) == 1 for e in c)
+        assert [e for e in singles if e not in loops] == bridges, g
+        assert sum(b.m == 1 and b.n == 2 for b in blocks) == len(bridges), g
+    blocks = path(1600).blocks()  # deeper than the recursion limit
+    assert len(blocks) == 1599 and all(b.edges == ((0, 1),) for b in blocks)
 
 
 def test_mask_helpers_round_trip():
@@ -181,19 +220,6 @@ def test_structural_operators():
     assert cycle(4).delete_edges(0b1).key() == Graph(
         4, ((1, 2), (2, 3), (3, 0))
     ).key()
-
-
-def test_contract_keeps_loops_and_parallels():
-    tri = cycle(3)
-    # contracting one edge of a triangle leaves two parallel edges
-    assert tri.contract(0b01).edge_pairs_sorted() == ((0, 1), (0, 1))
-    # contracting two edges leaves a loop
-    assert tri.contract(0b11).edges == ((0, 0),)
-    # contracting a parallel pair's partner makes a loop too
-    para = Graph(2, ((0, 1), (0, 1)))
-    assert para.contract(0b01).edges == ((0, 0),)
-    # contracting nothing relabels nothing
-    assert tri.contract(0).key() == tri.key()
 
 
 def test_edge_list_round_trip_and_errors():
